@@ -273,7 +273,7 @@ func BenchmarkReplicatedSimulator(b *testing.B) {
 }
 
 // shardedBenchConfig is the 19-cell quick-fidelity configuration shared by
-// the serial and sharded variants of BenchmarkShardedSimulator.
+// the one-group and sharded variants of BenchmarkShardedSimulator.
 func shardedBenchConfig(b *testing.B, seed int64) sim.Config {
 	b.Helper()
 	topo, err := cluster.Preset(19)
@@ -293,7 +293,7 @@ func shardedBenchConfig(b *testing.B, seed int64) sim.Config {
 }
 
 // BenchmarkShardedSimulator compares one replication of the 19-cell cluster
-// on the serial single-calendar engine against the sharded engine with 4 cell
+// with every cell on one calendar against the sharded engine with 4 cell
 // groups advanced in parallel. Both produce bit-identical results; the
 // sub-benchmark ratio is the shard-level speedup.
 func BenchmarkShardedSimulator(b *testing.B) {

@@ -2,7 +2,7 @@
 // express — a 19-cell wrap-around hex ring crossed by a highway corridor
 // whose cells carry three times the baseline load moving at four times the
 // baseline speed (dwell-time multiplier 0.25). The example runs the built-in
-// "highway" preset on the serial and the sharded engine, verifies the two
+// "highway" preset on one group and on the sharded engine, verifies the two
 // are bit-identical, and prints the per-cell response grouped by distance
 // from the corridor axis. To isolate the mobility effect it then repeats the
 // run with the same load shape but the paper's uniform dwell times: the
@@ -45,9 +45,9 @@ func main() {
 		log.Fatal(err)
 	}
 	if !reflect.DeepEqual(serial, sharded) {
-		log.Fatal("serial and sharded engines diverged — the determinism contract is broken")
+		log.Fatal("one-group and sharded runs diverged — the determinism contract is broken")
 	}
-	fmt.Printf("scenario %q on %d cells: serial %d events, sharded %d events, bit-identical: true\n\n",
+	fmt.Printf("scenario %q on %d cells: one group %d events, sharded %d events, bit-identical: true\n\n",
 		spec.Name, topo.NumCells(), serial.Events, sharded.Events)
 
 	// The control run: identical corridor load, uniform dwell times.

@@ -4,7 +4,7 @@
 // loads the "evening-rush" scenario from the JSON file next to this program
 // (a normalized hotspot riding a periodic busy-hour ramp; falling back to the
 // built-in hotspot preset when the file is not found), runs the same
-// configuration on the serial and the sharded engine, verifies the two are
+// configuration on one group and on the sharded engine, verifies the two are
 // bit-identical, and prints the per-cell response by hex distance from the
 // hotspot center. It then replays the identical workload under each handover
 // admission policy (internal/policy) and compares how guard channels, queued
@@ -61,9 +61,9 @@ func main() {
 		log.Fatal(err)
 	}
 	if !reflect.DeepEqual(serial, sharded) {
-		log.Fatal("serial and sharded engines diverged — the determinism contract is broken")
+		log.Fatal("one-group and sharded runs diverged — the determinism contract is broken")
 	}
-	fmt.Printf("serial engine:  %d events\n", serial.Events)
+	fmt.Printf("one group:      %d events\n", serial.Events)
 	fmt.Printf("sharded engine: %d events, bit-identical results: true\n\n", sharded.Events)
 
 	// The spatial response: cells at equal hex distance from the hotspot

@@ -4,7 +4,7 @@
 // mean payload sizes measured over a half-hour busy cycle), compiles it into
 // the normalized piecewise-constant temporal profile of internal/scenario,
 // and wraps it periodically so the busy cycle repeats for the whole run. It
-// verifies the replay is bit-identical between the serial and the sharded
+// verifies the replay is bit-identical between one group and the sharded
 // engine, then runs replicated experiments of the trace replay and the
 // uniform (constant-rate) baseline from the same seeds and prints the
 // per-cell comparison with cross-replication confidence intervals: same mean
@@ -73,7 +73,7 @@ func main() {
 	fmt.Printf("normalized per-window scale: %v\n\n", windowScales(spec, topo))
 
 	// The determinism contract holds under empirical traffic too: the trace
-	// replay is bit-identical between the serial and the sharded engine.
+	// replay is bit-identical between one group and the sharded engine.
 	serial, err := sim.RunOnce(traceCfg, sim.ShardedOptions{Shards: 1})
 	if err != nil {
 		log.Fatal(err)
@@ -83,9 +83,9 @@ func main() {
 		log.Fatal(err)
 	}
 	if !reflect.DeepEqual(serial, sharded) {
-		log.Fatal("serial and sharded engines diverged — the determinism contract is broken")
+		log.Fatal("one-group and sharded runs diverged — the determinism contract is broken")
 	}
-	fmt.Printf("serial engine:  %d events\n", serial.Events)
+	fmt.Printf("one group:      %d events\n", serial.Events)
 	fmt.Printf("sharded engine: %d events, bit-identical results: true\n\n", sharded.Events)
 
 	// Replicated comparison from the same seed substreams: the trace replay

@@ -71,8 +71,8 @@ func runSimulator(rate float64) sim.Results {
 	cfg.Batches = 5
 	cfg.Seed = 42
 	// RunOnce is the engine-selection entry point: Shards > 1 advances cell
-	// groups in parallel conservative time windows, bit-identical to the
-	// serial engine, so the choice only affects wall-clock time.
+	// groups in parallel conservative time windows, bit-identical to one
+	// group on one calendar, so the choice only affects wall-clock time.
 	res, err := sim.RunOnce(cfg, sim.ShardedOptions{Shards: 2})
 	if err != nil {
 		log.Fatal(err)

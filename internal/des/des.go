@@ -16,19 +16,6 @@
 // number instead of raw event pointers: a Handle of an event that already
 // fired (and whose record may since have been reused for an unrelated event)
 // turns Cancel into a no-op instead of cancelling a stranger.
-//
-// # Event list selection
-//
-// Two event-list implementations sit behind one scheduler interface: a binary
-// heap (the reference, and the default) and a Brown calendar queue
-// (NewSimulationQueue(CalendarQueue)). Both order events by (time, sequence
-// number) — a strict total order, because sequence numbers are unique within
-// a Simulation — so the pop order, and therefore every simulation result, is
-// bit-identical between the two. The heap remains the default: profiles of
-// the GPRS workloads show the calendar's O(1) average enqueue does not beat
-// the heap's cache-friendly sift at the calendar sizes the model produces
-// (hundreds to a few thousand pending events); the calendar queue is kept
-// selectable for larger topologies where it may win.
 package des
 
 import (
@@ -98,34 +85,9 @@ func (h Handle) Time() float64 {
 	return h.ev.Time
 }
 
-// eventList is the scheduler interface both event-list implementations
-// (binary heap and calendar queue) satisfy. Implementations order events by
-// (Time, seq) ascending; seq is unique per Simulation, so the order is a
-// strict total order and pop sequences are implementation-independent.
-type eventList interface {
-	push(*Event)
-	// pop removes and returns the earliest event, or nil when empty.
-	pop() *Event
-	// peek returns the earliest event without removing it, or nil when empty.
-	peek() *Event
-	size() int
-}
-
-// QueueKind selects the event-list implementation of a Simulation.
-type QueueKind int
-
-const (
-	// HeapQueue is the binary-heap event list: the reference implementation
-	// and the default (zero value).
-	HeapQueue QueueKind = iota
-	// CalendarQueue is the Brown calendar-queue event list: O(1) average
-	// enqueue/dequeue under smooth event-time distributions. Pop order is
-	// bit-identical to HeapQueue.
-	CalendarQueue
-)
-
-// eventBefore is the scheduling order shared by every event list: earlier
-// time first, scheduling order (seq) breaking ties.
+// eventBefore is the scheduling order of the event list: earlier time first,
+// scheduling order (seq) breaking ties. seq is unique per Simulation, so the
+// order is a strict total order.
 func eventBefore(a, b *Event) bool {
 	if a.Time != b.Time {
 		return a.Time < b.Time
@@ -214,7 +176,7 @@ func (h *binHeap) siftDown(i int) {
 // run in parallel, each with its own Simulation).
 type Simulation struct {
 	now    float64
-	list   eventList
+	list   binHeap
 	seq    uint64
 	events uint64
 
@@ -228,25 +190,8 @@ type Simulation struct {
 	poolHits, poolMisses uint64
 }
 
-// NewSimulation returns an empty simulation with the clock at time 0, using
-// the binary-heap event list.
-func NewSimulation() *Simulation {
-	return NewSimulationQueue(HeapQueue)
-}
-
-// NewSimulationQueue returns an empty simulation using the given event-list
-// implementation. Every QueueKind produces bit-identical event orderings; the
-// choice affects performance only.
-func NewSimulationQueue(kind QueueKind) *Simulation {
-	s := &Simulation{}
-	switch kind {
-	case CalendarQueue:
-		s.list = newCalQueue()
-	default:
-		s.list = &binHeap{}
-	}
-	return s
-}
+// NewSimulation returns an empty simulation with the clock at time 0.
+func NewSimulation() *Simulation { return &Simulation{} }
 
 // Now returns the current simulation time in seconds.
 func (s *Simulation) Now() float64 { return s.now }

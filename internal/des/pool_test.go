@@ -3,6 +3,7 @@ package des
 import (
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 )
 
@@ -85,60 +86,71 @@ func TestSelfCancelDuringAction(t *testing.T) {
 }
 
 // TestScheduleFireSteadyStateAllocs pins the kernel's allocation-free
-// steady-state contract for both event-list implementations: once the
-// freelist has warmed up, a schedule/fire cycle performs zero allocations.
+// steady-state contract: once the freelist has warmed up, a schedule/fire
+// cycle performs zero allocations.
 func TestScheduleFireSteadyStateAllocs(t *testing.T) {
-	for _, kind := range []QueueKind{HeapQueue, CalendarQueue} {
-		sim := NewSimulationQueue(kind)
-		action := func() {}
-		cycle := func() {
-			for i := 0; i < 64; i++ {
-				if _, err := sim.ScheduleAfter(float64(i%7), action); err != nil {
-					t.Fatal(err)
-				}
-			}
-			for i := 0; i < 64; i++ {
-				sim.Step()
-			}
-		}
-		// Warm the freelist and the event-list capacities (the calendar's
-		// bucket slices converge to their peak occupancy over several cycles
-		// as the advancing clock shifts events across bucket slots).
+	sim := NewSimulation()
+	action := func() {}
+	cycle := func() {
 		for i := 0; i < 64; i++ {
-			cycle()
+			if _, err := sim.ScheduleAfter(float64(i%7), action); err != nil {
+				t.Fatal(err)
+			}
 		}
-		if avg := testing.AllocsPerRun(10, cycle); avg > 0 {
-			t.Errorf("queue kind %d: %.2f allocs per 64-event cycle, want 0", kind, avg)
+		for i := 0; i < 64; i++ {
+			sim.Step()
 		}
+	}
+	// Warm the freelist and the heap's capacity.
+	for i := 0; i < 64; i++ {
+		cycle()
+	}
+	if avg := testing.AllocsPerRun(10, cycle); avg > 0 {
+		t.Errorf("%.2f allocs per 64-event cycle, want 0", avg)
 	}
 }
 
-// TestCalendarHeapDifferential is the differential property test of the two
-// event-list implementations: for randomized schedules — clustered and
-// dispersed times, exact ties, nested scheduling, cancellations — the
-// calendar queue must pop the exact (Time, seq) sequence the binary heap
-// pops.
-func TestCalendarHeapDifferential(t *testing.T) {
-	type popped struct {
-		at  float64
-		tag int
+// TestEventOrderMatchesSortedOracle is the randomized order property of the
+// event list. A random program schedules events at clustered times with
+// exact ties, at dispersed and fine-grained times, schedules more from inside
+// actions, and cancels events before and during the run. Every Schedule call
+// is logged with its scheduling order; the fired sequence must equal the
+// log's uncancelled entries sorted by (time, scheduling order), and every
+// event must fire at its scheduled time. The sort is a valid oracle because
+// an action can only schedule at or after the current time with a later
+// scheduling order, so the fire order never runs backwards.
+func TestEventOrderMatchesSortedOracle(t *testing.T) {
+	type entry struct {
+		at       float64
+		order    int
+		canceled bool
 	}
-	run := func(kind QueueKind, seed int64) []popped {
+	for seed := int64(1); seed <= 20; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		sim := NewSimulationQueue(kind)
-		var got []popped
-		tag := 0
+		sim := NewSimulation()
+		var log []entry
 		var handles []Handle
+		var fired []int
+		cancel := func(i int) {
+			if handles[i].Pending() {
+				handles[i].Cancel()
+				log[i].canceled = true
+			}
+		}
 		var schedule func(at float64)
 		schedule = func(at float64) {
-			id := tag
-			tag++
+			id := len(log)
+			log = append(log, entry{at: at, order: id})
 			h, err := sim.Schedule(at, func() {
-				got = append(got, popped{sim.Now(), id})
-				// Nested scheduling from inside actions, deterministic in the
-				// pop order (which is what the test verifies).
-				if id%5 == 0 {
-					schedule(sim.Now() + 0.25)
+				if sim.Now() != at {
+					t.Errorf("seed %d: event %d fired at %v, scheduled for %v", seed, id, sim.Now(), at)
+				}
+				fired = append(fired, id)
+				switch id % 6 {
+				case 0: // nested schedule, sometimes tying with the current time
+					schedule(sim.Now() + float64(rng.Intn(3))*0.25)
+				case 1: // cancel a random event from inside an action
+					cancel(rng.Intn(len(handles)))
 				}
 			})
 			if err != nil {
@@ -150,78 +162,42 @@ func TestCalendarHeapDifferential(t *testing.T) {
 			switch rng.Intn(4) {
 			case 0: // clustered times with frequent exact ties
 				schedule(float64(rng.Intn(8)))
-			case 1: // dispersed times spanning many calendar years
+			case 1: // dispersed times
 				schedule(rng.Float64() * 1e4)
-			case 2: // fine-grained fractional times within one year
+			case 2: // fine-grained fractional times
 				schedule(rng.Float64())
-			default: // negative-free mixture around the origin
+			default: // a coarse grid around the origin
 				schedule(float64(rng.Intn(100)) / 16)
 			}
 		}
-		// Cancel a deterministic subset of the top-level events (the cancel
-		// loop runs before any event fires, so handles holds exactly the 400
-		// initial schedules).
-		for i, h := range handles {
-			if i%7 == 0 {
-				h.Cancel()
-			}
+		for i := 0; i < 40; i++ {
+			cancel(rng.Intn(len(handles)))
+		}
+		// Stop at a few horizons on the way, collecting cancelled events at
+		// the heap top, then drain.
+		for _, until := range []float64{0.5, 3, 3, 100} {
+			sim.RunUntil(until)
 		}
 		sim.Run()
-		return got
-	}
-	for seed := int64(1); seed <= 10; seed++ {
-		heapSeq := run(HeapQueue, seed)
-		calSeq := run(CalendarQueue, seed)
-		if len(heapSeq) != len(calSeq) {
-			t.Fatalf("seed %d: heap popped %d events, calendar %d", seed, len(heapSeq), len(calSeq))
-		}
-		for i := range heapSeq {
-			if heapSeq[i] != calSeq[i] {
-				t.Fatalf("seed %d: pop %d differs: heap %+v, calendar %+v", seed, i, heapSeq[i], calSeq[i])
+
+		var want []int
+		for _, e := range log {
+			if !e.canceled {
+				want = append(want, e.order)
 			}
 		}
-	}
-}
-
-// TestCalendarResizeKeepsOrder drives the calendar through growth and
-// shrinkage (bucket doubling/halving) and checks against a heap reference.
-func TestCalendarResizeKeepsOrder(t *testing.T) {
-	rng := rand.New(rand.NewSource(99))
-	cal := newCalQueue()
-	ref := &binHeap{}
-	seq := uint64(0)
-	push := func(at float64) {
-		a := &Event{Time: at, seq: seq}
-		b := &Event{Time: at, seq: seq}
-		seq++
-		cal.push(a)
-		ref.push(b)
-	}
-	popBoth := func() {
-		a, b := cal.pop(), ref.pop()
-		switch {
-		case a == nil && b == nil:
-		case a == nil || b == nil:
-			t.Fatalf("size mismatch: cal %v, heap %v", a, b)
-		case a.Time != b.Time || a.seq != b.seq:
-			t.Fatalf("order mismatch: cal (%v,%d), heap (%v,%d)", a.Time, a.seq, b.Time, b.seq)
+		sort.SliceStable(want, func(i, j int) bool { return log[want[i]].at < log[want[j]].at })
+		if len(fired) != len(want) {
+			t.Fatalf("seed %d: %d events fired, oracle expects %d", seed, len(fired), len(want))
+		}
+		for i := range want {
+			if fired[i] != want[i] {
+				t.Fatalf("seed %d: fire %d is event %d (t=%v), oracle expects event %d (t=%v)",
+					seed, i, fired[i], log[fired[i]].at, want[i], log[want[i]].at)
+			}
+		}
+		if sim.Pending() != 0 {
+			t.Fatalf("seed %d: %d events left pending after Run", seed, sim.Pending())
 		}
 	}
-	// Grow to a few hundred events, drain to near-empty, regrow, drain fully.
-	for i := 0; i < 500; i++ {
-		push(rng.Float64() * 1e3)
-	}
-	for i := 0; i < 490; i++ {
-		popBoth()
-	}
-	for i := 0; i < 200; i++ {
-		push(1e3 + rng.Float64()*10) // behind and ahead of the cursor's year
-		if i%3 == 0 {
-			push(rng.Float64()) // rewind the cursor
-		}
-	}
-	for cal.size() > 0 {
-		popBoth()
-	}
-	popBoth() // both empty
 }

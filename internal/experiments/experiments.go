@@ -147,7 +147,7 @@ type Options struct {
 	// Shards, when > 1, runs every simulator replication on the sharded
 	// multi-cell engine with that many cell groups advanced in parallel,
 	// still bounded — together with all other work — by the shared limiter.
-	// Results are identical to the serial engine.
+	// Results are identical to the one-group run.
 	Shards int
 	// Partition, when non-nil, pins the cell→group assignment of the sharded
 	// engine (internal/partition) on every simulator run; nil keeps the

@@ -14,23 +14,22 @@
 //     event calendar and draws nothing from any random variate stream. The
 //     measurement loop of internal/sim advances the engines to the probe
 //     window boundaries between batch boundaries — a pure repartitioning of
-//     the advance targets, which both engines execute identically (the
-//     serial calendar pops the same total order either way; the sharded
+//     the advance targets, which every grouping executes identically (a
+//     single calendar pops the same total order either way; the shard
 //     engine's conservative windows deliver the same messages in the same
 //     merged order).
 //
-//   - Shadow accumulators: the windowed time averages come from probe-owned
-//     copies of the per-cell time-weighted statistics, updated alongside
-//     the model's own accumulators. The model accumulators are never read
-//     mid-run — reading them would advance their internal integrals and
-//     change the float accumulation sequence of the terminal aggregates by
-//     ulps (stats.TimeWeighted.Mean mutates; the probes use the
-//     non-mutating MeanAt on their shadows instead).
+//   - Read-only gauges: the windowed time averages come from the model's
+//     own per-cell time-weighted statistics through the non-mutating
+//     stats.TimeWeighted.MeanAt, which leaves their integrals and clocks
+//     untouched, so the terminal aggregates perform exactly the float
+//     accumulation steps of an unprobed run (Mean would advance the
+//     integral mid-run and change them by ulps).
 //
 //   - Out-of-band results: the recorded Series travels next to sim.Results,
 //     never inside it, so golden result digests are bit-identical with
-//     probes armed or disarmed. TestGoldenResultDigests pins this for every
-//     scenario preset x engine x event-queue x shard-count combination.
+//     probes armed or disarmed. TestGoldenResultDigestsProbesArmed pins
+//     this for every scenario preset on one group and on four shards.
 //
 // The armed sampler path is allocation-free: every series buffer is
 // preallocated to its full window capacity when the probe is armed (once per

@@ -44,7 +44,7 @@
 //     failing index for the same reason.
 //
 //   - Engine invariance: Shards > 1 runs each replication on the sharded
-//     engine, which reproduces the serial engine bit for bit (see the
+//     engine, which reproduces the one-group run bit for bit (see the
 //     determinism contract of internal/shard), so the engine choice is
 //     also purely a scheduling decision.
 //
@@ -125,7 +125,7 @@ type Options struct {
 	// gated by Admission (live simulators) while the shard workers of all
 	// replications acquire CPU tokens from the shared Limiter, keeping the
 	// number of active CPU-bound tasks at the worker bound. Results are
-	// bit-identical to the serial engine, so Shards only changes how the
+	// bit-identical to the one-group run, so Shards only changes how the
 	// work is scheduled.
 	Shards int
 	// Admission, used only when Shards > 1, bounds how many replications are
@@ -396,7 +396,7 @@ func mergePerCell(results []sim.Results) []sim.CellMeasures {
 // under VRAntithetic) and merges them. With Precision 0 exactly Replications
 // runs execute, and the merged result is bit-identical for a given
 // (BaseSeed, options) regardless of worker count and of the Shards setting
-// (the sharded engine reproduces the serial engine exactly). With
+// (the sharded engine reproduces the one-group run exactly). With
 // Precision > 0 the adaptive stopping rule grows the count in pool-sized
 // batches (growBatch) until the target measure's relative confidence
 // half-width reaches the threshold or MaxReplications is hit; the batch

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/sim"
 	"repro/internal/stats"
@@ -101,6 +102,47 @@ func TestRunShardedEngineMatchesSerial(t *testing.T) {
 	}
 	if !reflect.DeepEqual(sharded, serial) {
 		t.Errorf("sharded replications differ from serial ones:\n%v\nvs\n%v", sharded, serial)
+	}
+}
+
+// TestRunOneGroupTakesNoShardToken is the regression test for the limiter
+// trap of the one-group engine: with Shards <= 1 every replication holds a
+// token of the shared Limiter while it runs and passes the same Limiter down
+// to the engine. The one-group calendar must run straight through without
+// asking for another token; an engine that read Shards 0 as NumCPU groups,
+// or that crossed shard windows with one group, would leave every in-flight
+// replication waiting on a pool it has itself exhausted.
+func TestRunOneGroupTakesNoShardToken(t *testing.T) {
+	cfg := testConfig()
+	for _, shards := range []int{0, 1} {
+		lim := NewLimiter(2)
+		done := make(chan error, 1)
+		go func() {
+			_, err := Run(cfg, Options{Replications: 4, Workers: 2, BaseSeed: 3, Shards: shards, Limiter: lim})
+			done <- err
+		}()
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatalf("shards=%d: %v", shards, err)
+			}
+		case <-time.After(2 * time.Minute):
+			t.Fatalf("shards=%d: two replications on a 2-token limiter still blocked after 2 minutes", shards)
+		}
+	}
+
+	s, err := sim.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if st := s.ShardStats(); st.Windows != 0 || st.MergedMessages != 0 {
+		t.Errorf("one-group run crossed shard barriers: %+v", st)
+	}
+	if s.Shards() != 1 || s.Partition().NumGroups() != 1 {
+		t.Errorf("sim.New built %d workers over %d groups, want one group", s.Shards(), s.Partition().NumGroups())
 	}
 }
 

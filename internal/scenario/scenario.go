@@ -44,7 +44,7 @@
 // what the layers above assume:
 //
 //   - the sharded engine queries one profile from several shard workers at
-//     once, and stays bit-identical to the serial engine under every
+//     once, and stays bit-identical to the one-group run under every
 //     scenario (the engines' own contract plus profile purity);
 //
 //   - the replication runner shares one profile across all replications, so
@@ -54,7 +54,7 @@
 //
 //   - the uniform scenario compiles to weight 1 and scale 1 everywhere and
 //     reproduces the paper's symmetric load bit for bit, which the test
-//     suite pins on both engines.
+//     suite pins on one group and on four shards.
 //
 // Rates are piecewise constant in time by construction (Steps schedules,
 // optionally periodic), which the simulator's boundary-re-arming arrival

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"repro/internal/cluster"
+	"repro/internal/partition"
 	"repro/internal/policy"
 	"repro/internal/probe"
 	"repro/internal/traffic"
@@ -58,8 +59,8 @@ func measureAllocsPerEvent(t *testing.T, advance func(to float64), processed fun
 	return perRun / eventsPerRun, eventsPerRun
 }
 
-// TestSerialSteadyStateAllocs pins the tentpole contract on the serial
-// engine: after warm-up, the event hot path performs (essentially) zero
+// TestSerialSteadyStateAllocs pins the tentpole contract on the one-group
+// engine (New, every cell on one calendar): after warm-up, the event hot path performs (essentially) zero
 // allocations per event — on the open-loop path and on the TCP path, which
 // pools connection and transit records per cell. The epsilon tolerates
 // freelist growth at new concurrent-population peaks (including a connection
@@ -78,77 +79,79 @@ func TestSerialSteadyStateAllocs(t *testing.T) {
 			for _, c := range s.cells {
 				c.start()
 			}
-			s.eng.RunUntil(2000) // reach steady state, grow every pool to its peak
-			perEvent, eventsPerRun := measureAllocsPerEvent(t,
-				func(to float64) { s.eng.RunUntil(to) },
-				s.eng.ProcessedEvents, 2000, 500)
+			advance := func(to float64) {
+				if err := s.advanceTo(to); err != nil {
+					t.Fatal(err)
+				}
+			}
+			advance(2000) // reach steady state, grow every pool to its peak
+			perEvent, eventsPerRun := measureAllocsPerEvent(t, advance, s.processedEvents, 2000, 500)
 			if eventsPerRun < 1000 {
 				t.Fatalf("only %.0f events per window; the pin would be vacuous", eventsPerRun)
 			}
 			if perEvent > 0.001 {
-				t.Errorf("serial hot path allocates %.5f allocs/event (%.0f events/window), want 0",
+				t.Errorf("one-group hot path allocates %.5f allocs/event (%.0f events/window), want 0",
 					perEvent, eventsPerRun)
 			}
 		})
 	}
 }
 
+// pinEngine builds an allocation-pin engine: New for shards 0, otherwise
+// NewSharded on that many workers. One worker gets the historic
+// one-cell-per-group partition, so it still crosses the shard engine's
+// windows, outbox buffering and barrier merge — on the calling goroutine,
+// where the budget is exact.
+func pinEngine(t *testing.T, cfg Config, shards int) *Sharded {
+	t.Helper()
+	var s *Sharded
+	var err error
+	switch shards {
+	case 0:
+		s, err = New(cfg)
+	case 1:
+		cfg.Partition = &partition.Spec{Kind: partition.KindIndexRange, Groups: cfg.Topology.NumCells()}
+		fallthrough
+	default:
+		s, err = NewSharded(cfg, ShardedOptions{Shards: shards})
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
 // TestProbeArmedSteadyStateAllocs pins the observability contract of the
-// probe layer: with the time-series probes armed — shadow gauges live on
-// every cell, the sampler recording a window every 25 s — the steady-state
-// hot path must stay within the same (essentially zero) allocation budget as
-// the unprobed engines. All series buffers are preallocated at arm time, so
-// sampling appends within capacity and the shadow gauge updates are plain
-// field writes. Checked on the serial engine and on the 1-shard sharded
-// engine (the full window/barrier machinery on the calling goroutine, where
-// the budget is exact).
+// probe layer: with the time-series probes armed — the sampler recording a
+// window every 25 s from the model's own accumulators — the steady-state hot
+// path must stay within the same (essentially zero) allocation budget as the
+// unprobed engines. All series buffers are preallocated at arm time, so
+// sampling appends within capacity. Checked on the one-group engine and on
+// the 1-worker sharded engine.
 func TestProbeArmedSteadyStateAllocs(t *testing.T) {
 	const start, window = 2000.0, 500.0
 	const final = start + 6*window // one warm-up run plus 5 measured runs
-	type engine struct {
-		name     string
-		advance  func(to float64) error
-		events   func() uint64
-		ps       *probeState
-		perCells func() []*cell
-	}
-	build := func(name string, shards int) engine {
+	for _, e := range []struct {
+		name   string
+		shards int
+	}{{"one-group", 0}, {"sharded1", 1}} {
 		cfg := allocPinConfig(7, false)
 		cfg.Probe = &probe.Spec{IntervalSec: 25}
-		if shards == 0 {
-			s, err := New(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return engine{name: name,
-				advance: func(to float64) error { return advanceProbed(s, s.pstate, to) },
-				events:  s.eng.ProcessedEvents, ps: s.pstate,
-				perCells: func() []*cell { return s.cells }}
-		}
-		s, err := NewSharded(cfg, ShardedOptions{Shards: shards})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return engine{name: name,
-			advance: func(to float64) error { return advanceProbed(s, s.pstate, to) },
-			events:  s.processedEvents, ps: s.pstate,
-			perCells: func() []*cell { return s.cells }}
-	}
-	for _, e := range []engine{build("serial", 0), build("sharded1", 1)} {
-		for _, c := range e.perCells() {
+		s := pinEngine(t, cfg, e.shards)
+		for _, c := range s.cells {
 			c.start()
 		}
-		if err := e.advance(start); err != nil {
+		if err := advanceProbed(s, s.pstate, start); err != nil {
 			t.Fatal(err)
 		}
-		e.ps.arm(start, final)
+		s.pstate.arm(start, final)
 		perEvent, eventsPerRun := measureAllocsPerEvent(t,
 			func(to float64) {
-				if err := e.advance(to); err != nil {
+				if err := advanceProbed(s, s.pstate, to); err != nil {
 					t.Fatal(err)
 				}
 			},
-			e.events, start, window)
+			s.processedEvents, start, window)
 		if eventsPerRun < 1000 {
 			t.Fatalf("%s: only %.0f events per window; the pin would be vacuous", e.name, eventsPerRun)
 		}
@@ -156,7 +159,7 @@ func TestProbeArmedSteadyStateAllocs(t *testing.T) {
 			t.Errorf("%s: probe-armed hot path allocates %.5f allocs/event (%.0f events/window), want 0",
 				e.name, perEvent, eventsPerRun)
 		}
-		if got, want := e.ps.series.Windows(), int(final-start)/25; got != want {
+		if got, want := s.pstate.series.Windows(), int(final-start)/25; got != want {
 			t.Fatalf("%s: %d windows sampled, want %d", e.name, got, want)
 		}
 	}
@@ -166,49 +169,28 @@ func TestProbeArmedSteadyStateAllocs(t *testing.T) {
 // queued-handover policy path: the overloaded pin workload keeps every cell
 // saturated, so handovers are parked, served, and expired continuously, and
 // the queue entries must flow through the per-cell freelist (getQHO/putQHO)
-// without per-event allocations — on the serial engine and on both sharded
-// layouts. The warm-up advance grows each cell's queue backing array and
+// without per-event allocations — on the one-group engine and on both
+// sharded layouts. The warm-up advance grows each cell's queue backing array and
 // entry pool to its bounded peak (QueueCapacity) before measurement starts.
 func TestQueuedHandoverSteadyStateAllocs(t *testing.T) {
 	queuePolicy := &policy.Config{Kind: policy.QueuedHandovers, QueueCapacity: 4, QueueDeadlineSec: 5}
-	type engine struct {
-		name     string
-		advance  func(to float64)
-		events   func() uint64
-		perCells func() []*cell
-	}
-	build := func(name string, shards int) engine {
+	for _, e := range []struct {
+		name   string
+		shards int
+	}{{"one-group", 0}, {"sharded1", 1}, {"sharded4", 4}} {
 		cfg := allocPinConfig(7, false)
 		cfg.Policy = queuePolicy
-		if shards == 0 {
-			s, err := New(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return engine{name: name,
-				advance:  func(to float64) { s.eng.RunUntil(to) },
-				events:   s.eng.ProcessedEvents,
-				perCells: func() []*cell { return s.cells }}
-		}
-		s, err := NewSharded(cfg, ShardedOptions{Shards: shards})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return engine{name: name,
-			advance: func(to float64) {
-				if err := s.engine.AdvanceTo(to); err != nil {
-					t.Fatal(err)
-				}
-			},
-			events:   s.processedEvents,
-			perCells: func() []*cell { return s.cells }}
-	}
-	for _, e := range []engine{build("serial", 0), build("sharded1", 1), build("sharded4", 4)} {
-		for _, c := range e.perCells() {
+		s := pinEngine(t, cfg, e.shards)
+		for _, c := range s.cells {
 			c.start()
 		}
-		e.advance(2000)
-		perEvent, eventsPerRun := measureAllocsPerEvent(t, e.advance, e.events, 2000, 500)
+		advance := func(to float64) {
+			if err := s.advanceTo(to); err != nil {
+				t.Fatal(err)
+			}
+		}
+		advance(2000)
+		perEvent, eventsPerRun := measureAllocsPerEvent(t, advance, s.processedEvents, 2000, 500)
 		if eventsPerRun < 1000 {
 			t.Fatalf("%s: only %.0f events per window; the pin would be vacuous", e.name, eventsPerRun)
 		}
@@ -217,7 +199,7 @@ func TestQueuedHandoverSteadyStateAllocs(t *testing.T) {
 				e.name, perEvent, eventsPerRun)
 		}
 		var queued, served, expired int64
-		for _, c := range e.perCells() {
+		for _, c := range s.cells {
 			queued += c.hoQueued
 			served += c.hoQueueServed
 			expired += c.hoQueueExpired
@@ -230,7 +212,7 @@ func TestQueuedHandoverSteadyStateAllocs(t *testing.T) {
 }
 
 // TestShardedSteadyStateAllocs pins the same contract on the sharded engine.
-// Shards=1 exercises the full sharded machinery — conservative windows,
+// One worker exercises the full sharded machinery — conservative windows,
 // outbox buffering, barrier merge, pooled transit records — on the calling
 // goroutine, where the budget is exact; the 4-shard layout adds the worker
 // fan-out, whose per-AdvanceTo setup (channels, goroutines) is amortized over
@@ -242,23 +224,17 @@ func TestShardedSteadyStateAllocs(t *testing.T) {
 	}{{"openloop", false}, {"tcp", true}} {
 		t.Run(tc.name, func(t *testing.T) {
 			for _, shards := range []int{1, 4} {
-				s, err := NewSharded(allocPinConfig(7, tc.tcpPath), ShardedOptions{Shards: shards})
-				if err != nil {
-					t.Fatal(err)
-				}
+				s := pinEngine(t, allocPinConfig(7, tc.tcpPath), shards)
 				for _, c := range s.cells {
 					c.start()
 				}
-				if err := s.engine.AdvanceTo(2000); err != nil {
-					t.Fatal(err)
+				advance := func(to float64) {
+					if err := s.advanceTo(to); err != nil {
+						t.Fatal(err)
+					}
 				}
-				perEvent, eventsPerRun := measureAllocsPerEvent(t,
-					func(to float64) {
-						if err := s.engine.AdvanceTo(to); err != nil {
-							t.Fatal(err)
-						}
-					},
-					s.processedEvents, 2000, 500)
+				advance(2000)
+				perEvent, eventsPerRun := measureAllocsPerEvent(t, advance, s.processedEvents, 2000, 500)
 				if eventsPerRun < 1000 {
 					t.Fatalf("%d shards: only %.0f events per window; the pin would be vacuous", shards, eventsPerRun)
 				}

@@ -26,8 +26,8 @@ const expBatch = 64
 // cellStreams groups the per-cell random variate streams. Every cell draws
 // its arrivals, call durations, traffic variates, and handover decisions from
 // its own streams, so a cell's sample path does not depend on how events of
-// other cells interleave with its own — the property that makes the sharded
-// engine bit-identical to the serial one.
+// other cells interleave with its own — the property that makes every cell
+// grouping bit-identical to every other.
 type cellStreams struct {
 	arrival  *des.Stream
 	duration *des.Stream
@@ -52,19 +52,6 @@ func newCellStreams(seed int64, cellID int, kind des.StreamKind) cellStreams {
 	s.arrival.BatchExponentials(expBatch)
 	s.duration.BatchExponentials(expBatch)
 	return s
-}
-
-// cellEnv is the engine-side contract of a cell: the shared configuration and
-// the transport that carries handover messages between cells. The serial
-// engine schedules deliveries directly on its single shared calendar; the
-// sharded engine buffers them as timestamped messages merged deterministically
-// at the next synchronization window barrier.
-type cellEnv interface {
-	conf() *Config
-	radioBlocksPerPacket() int
-	// dispatch sends a handover message from src to cell dst, taking effect
-	// at src.now() + HandoverLatencySec.
-	dispatch(src *cell, dst int, m handoverMsg)
 }
 
 // hoKind discriminates handover message payloads.
@@ -125,10 +112,8 @@ type handoverMsg struct {
 
 // cell is one cell of the cluster: voice-channel occupancy, the BSC FIFO
 // buffer for data packets, the set of active GPRS sessions, the measurement
-// state, and — shard-locally — its own event calendar and random variate
-// streams. In the serial engine all cells share one calendar; in the sharded
-// engine each cell owns one, and cells interact only through handover
-// messages.
+// state, its group's event calendar, and its own random variate streams.
+// Cells interact only through handover messages.
 //
 // The steady-state event path of a cell is allocation-free: completed voice
 // calls, sessions, and packets are recycled through per-cell freelists
@@ -139,7 +124,7 @@ type handoverMsg struct {
 // of boundaries), not O(events)).
 type cell struct {
 	id      int
-	env     cellEnv
+	env     *Sharded
 	eng     *des.Simulation
 	streams cellStreams
 
@@ -185,12 +170,6 @@ type cell struct {
 	queueLen  stats.TimeWeighted
 	voiceOcc  stats.TimeWeighted
 	sessOcc   stats.TimeWeighted
-
-	// pr, when non-nil, is the armed probe's shadow gauge set for this cell:
-	// every time-weighted update below is mirrored into it with the same
-	// (time, value) pair, so the probe can read windowed means without ever
-	// touching the model accumulators (see probeGauges).
-	pr *probeGauges
 
 	packetsOffered   int64
 	packetsLost      int64
@@ -269,7 +248,7 @@ func (c *cell) putQHO(q *queuedHO) {
 	c.freeQHO = append(c.freeQHO, q)
 }
 
-func newCell(id int, env cellEnv, eng *des.Simulation, seed int64, kind des.StreamKind) *cell {
+func newCell(id int, env *Sharded, eng *des.Simulation, seed int64, kind des.StreamKind) *cell {
 	c := &cell{id: id, env: env, eng: eng, streams: newCellStreams(seed, id, kind)}
 	c.radioTickFn = c.radioTick
 	c.armVoiceFn = func() { c.armArrival(true) }
@@ -468,7 +447,7 @@ func (c *cell) start() {
 // constant profile the boundary is +Inf, so the code draws exactly one
 // variate per arrival, reproducing the fixed-rate arrival stream bit for bit.
 // All decisions depend only on the cell's own stream and the (pure) profile,
-// which keeps the serial and sharded engines bit-identical. The scheduled
+// which keeps every cell grouping bit-identical. The scheduled
 // actions are the cell's prebound closures, so arming allocates nothing.
 func (c *cell) armArrival(voice bool) {
 	prof := c.env.conf().Rates
@@ -506,7 +485,7 @@ func (c *cell) armArrival(voice bool) {
 // set receives every scheduled event handle (the dwell timer or a boundary
 // re-arm), so the owner's cancellable handle always tracks the pending
 // event. All decisions depend only on the cell's own stream and the (pure)
-// profile, which keeps the serial and sharded engines bit-identical. fire
+// profile, which keeps every cell grouping bit-identical. fire
 // and set are the owning record's prebound closures; the boundary re-arm
 // closure is the one allocation left on this path, costing O(profile
 // boundaries), not O(events) — under constant profiles it never runs.
@@ -776,17 +755,11 @@ func (c *cell) canAdmitSession() bool {
 func (c *cell) addVoice() {
 	c.voiceCalls++
 	c.voiceOcc.Update(c.now(), float64(c.voiceCalls))
-	if c.pr != nil {
-		c.pr.voice.Update(c.now(), float64(c.voiceCalls))
-	}
 }
 
 func (c *cell) removeVoice() {
 	c.voiceCalls--
 	c.voiceOcc.Update(c.now(), float64(c.voiceCalls))
-	if c.pr != nil {
-		c.pr.voice.Update(c.now(), float64(c.voiceCalls))
-	}
 	if len(c.hoQueue) > 0 {
 		// The freed channel goes to the longest-waiting queued handover.
 		c.serveQueuedHandover()
@@ -796,17 +769,11 @@ func (c *cell) removeVoice() {
 func (c *cell) addSession() {
 	c.sessions++
 	c.sessOcc.Update(c.now(), float64(c.sessions))
-	if c.pr != nil {
-		c.pr.sess.Update(c.now(), float64(c.sessions))
-	}
 }
 
 func (c *cell) removeSession() {
 	c.sessions--
 	c.sessOcc.Update(c.now(), float64(c.sessions))
-	if c.pr != nil {
-		c.pr.sess.Update(c.now(), float64(c.sessions))
-	}
 }
 
 // queuedPackets is the number of packets awaiting (or under) transmission:
@@ -828,9 +795,6 @@ func (c *cell) enqueue(p *packet) bool {
 	p.blocksLeft = c.env.radioBlocksPerPacket()
 	c.buffer = append(c.buffer, p)
 	c.queueLen.Update(c.now(), float64(len(c.buffer)))
-	if c.pr != nil {
-		c.pr.queue.Update(c.now(), float64(len(c.buffer)))
-	}
 	c.ensureTick()
 	return true
 }
@@ -871,16 +835,10 @@ func (c *cell) radioTick() {
 		c.buffer = c.buffer[:n]
 		c.deliverPending = 0
 		c.queueLen.Update(now, float64(len(c.buffer)))
-		if c.pr != nil {
-			c.pr.queue.Update(now, float64(len(c.buffer)))
-		}
 	}
 
 	if len(c.buffer) == 0 {
 		c.pdchUsage.Update(now, 0)
-		if c.pr != nil {
-			c.pr.pdch.Update(now, 0)
-		}
 		return
 	}
 
@@ -903,9 +861,6 @@ func (c *cell) radioTick() {
 		used += alloc
 	}
 	c.pdchUsage.Update(now, float64(used))
-	if c.pr != nil {
-		c.pr.pdch.Update(now, float64(used))
-	}
 
 	// Packets whose last block was allocated above form a prefix of the
 	// buffer (head-of-line service); they deliver at the next tick.
@@ -1024,9 +979,9 @@ func (c *cell) gaugeIntegralsAt(t float64) gaugeIntegrals {
 // accumulator, returning the integral snapshot at now for the next batch.
 // Differencing integrals (instead of restarting the gauges every batch)
 // leaves the accumulators untouched across the whole measurement period, so
-// the terminal gauge means — and the armed probe's shadow copies of them —
-// are exact window averages, bit-identical between the per-cell report and
-// the probe series.
+// the terminal gauge means — and the armed probe's reads of them — are exact
+// window averages, bit-identical between the per-cell report and the probe
+// series.
 func (c *cell) finishBatch(acc *batchAccumulator, prev cellSnapshot, prevInt gaugeIntegrals, now, batchDur float64) gaugeIntegrals {
 	cur := c.snapshot()
 	curInt := c.gaugeIntegralsAt(now)

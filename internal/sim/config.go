@@ -125,22 +125,16 @@ type Config struct {
 	// messages. A nil value means the locality-aware partitioner with one
 	// group per worker. Like the shard layout itself, the partitioning never
 	// affects results — every valid assignment is bit-identical to the
-	// serial engine (pinned by the partition-equivalence suite) — it only
-	// shifts load balance and barrier traffic. The serial engine ignores it.
+	// one-group engine (pinned by the partition-equivalence suite) — it only
+	// shifts load balance and barrier traffic. New ignores it.
 	Partition *partition.Spec
-
-	// EventQueue selects the event-list implementation of the engine's
-	// calendars. The zero value (des.HeapQueue) is the binary-heap reference;
-	// des.CalendarQueue selects the Brown calendar queue. Every kind produces
-	// bit-identical results — the choice affects performance only.
-	EventQueue des.QueueKind
 
 	// Probe, when non-nil, arms the deterministic sim-time series probe: the
 	// run records every cell's counters and time-averaged gauges at fixed
 	// window boundaries of Probe.IntervalSec across the measurement period.
 	// Arming never changes a single bit of the Results (see the determinism
 	// contract of package probe); the recorded series travels out of band,
-	// via Simulator.Series, Sharded.Series, or RunOnceSeries.
+	// via Sharded.Series or RunOnceSeries.
 	Probe *probe.Spec
 }
 
@@ -245,9 +239,6 @@ func (c Config) Validate() error {
 	}
 	if c.Streams < des.StreamDefault || c.Streams > des.StreamAntithetic {
 		return fmt.Errorf("%w: stream kind %d", ErrInvalidConfig, c.Streams)
-	}
-	if c.EventQueue < des.HeapQueue || c.EventQueue > des.CalendarQueue {
-		return fmt.Errorf("%w: event queue kind %d", ErrInvalidConfig, c.EventQueue)
 	}
 	if c.EnableTCP {
 		if err := c.TCP.Validate(); err != nil {

@@ -3,7 +3,7 @@
 // for lack of capacity, or carrying a voice call that completed in transit.
 // The tests verify the exact ledger sum(HandoversOut) == sum(HandoverArrivals)
 // over all cells, for every built-in scenario preset (the mobility presets
-// included) and for both engines. Exactness requires that no message is in
+// included), on one group and on four shards. Exactness requires that no message is in
 // flight across the measurement-window boundaries, so the runs start their
 // window at time 0 (no warm-up) and gate the fresh arrivals off mid-run: by
 // the end of the drain period every user has left the system — verified
@@ -199,7 +199,7 @@ func TestHandoverFlowConservationPolicies(t *testing.T) {
 
 // TestHandoverConservationEngineEquality double-checks that the drained
 // conservation workload — warm-up-free, gated, with a mobility preset — is
-// itself bit-identical across engines, so the ledger above pins the same
+// itself bit-identical across groupings, so the ledger above pins the same
 // numbers for every shard count.
 func TestHandoverConservationEngineEquality(t *testing.T) {
 	preset, err := scenario.Preset("hotspot-pedestrian")
@@ -219,6 +219,6 @@ func TestHandoverConservationEngineEquality(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(serial, sharded) {
-		t.Error("conservation workload differs between engines")
+		t.Error("conservation workload differs between one group and four shards")
 	}
 }

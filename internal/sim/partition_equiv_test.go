@@ -1,7 +1,7 @@
 // Partition-equivalence suite: the cell→group partitioning of the sharded
 // engine must never affect results. Any valid assignment — contiguous
 // index blocks, locality-grown patches, or arbitrary random groupings — and
-// any worker count must reproduce the serial engine bit for bit, under
+// any worker count must reproduce the one-group engine bit for bit, under
 // heterogeneous load, corridor mobility, and admission policies alike. The
 // randomized matrix here plus the pinned 61-cell golden column are the
 // enforcement of the determinism contract documented in internal/partition.
@@ -48,7 +48,7 @@ func randomGroups(r *rand.Rand, n, k int) [][]int {
 // TestRandomizedPartitionEquivalence is the property test of the partition
 // determinism contract: ~50 random valid partitions of the {19,37,61}-cell
 // topologies — group counts from the degenerate single group to one group
-// per cell, worker counts {1,2,4} — all reproduce the serial engine's
+// per cell, worker counts {1,2,4} — all reproduce the one-group engine's
 // Results (and their canonical digests) bit for bit, under a hotspot load,
 // a highway mobility corridor, and a guard-channel admission policy.
 func TestRandomizedPartitionEquivalence(t *testing.T) {
@@ -112,7 +112,7 @@ func TestRandomizedPartitionEquivalence(t *testing.T) {
 					t.Fatalf("partition %d (%v, %d workers): %v", i, pspec, workers, err)
 				}
 				if !reflect.DeepEqual(res, serial) {
-					t.Errorf("partition %d (%v, %d workers, %d groups): results differ from serial engine",
+					t.Errorf("partition %d (%v, %d workers, %d groups): results differ from the one-group engine",
 						i, pspec, workers, e.Partition().NumGroups())
 				}
 				if got := policyDigest(res); got != serialDigest {
@@ -125,7 +125,7 @@ func TestRandomizedPartitionEquivalence(t *testing.T) {
 }
 
 // goldenPartitionDigests extends the golden-digest suite with a partitioned
-// 61-cell column: the pinned digests are the serial engine's, and both
+// 61-cell column: the pinned digests are the one-group engine's, and both
 // partitioners at both worker counts must keep reproducing them bit for bit.
 var goldenPartitionDigests = []struct {
 	name  string

@@ -235,7 +235,9 @@ func TestSessionLifecycleRecycles(t *testing.T) {
 	sess := c.getSession()
 	sess.scheduleHandover()
 	sess.start()
-	s.eng.RunUntil(1e6)
+	if err := s.advanceTo(1e6); err != nil {
+		t.Fatal(err)
+	}
 	if sess.active {
 		t.Fatal("session should have completed")
 	}

@@ -1,36 +1,16 @@
 package sim
 
-import (
-	"repro/internal/probe"
-	"repro/internal/stats"
-)
-
-// probeGauges is the shadow measurement state of one cell while a probe is
-// armed: private copies of the four time-weighted statistics, updated
-// alongside the model's own accumulators at the same (time, value) points.
-// The probe samples these shadows with the non-mutating stats.MeanAt, never
-// the model accumulators — reading those mid-run would advance their
-// internal integrals and perturb the terminal aggregates by ulps, breaking
-// the bit-identity contract (see the determinism contract of package probe).
-// Because the shadows receive exactly the model's update sequence and are
-// started with the model's measurement-window values, their final MeanAt at
-// the measurement end reproduces every cell's terminal PerCell gauges bit
-// for bit — the mid cell included, since batch boundaries difference running
-// integrals instead of restarting its gauges.
-type probeGauges struct {
-	pdch, queue, voice, sess stats.TimeWeighted
-}
+import "repro/internal/probe"
 
 // probeState drives the sim-time series sampling of one run: window
-// boundaries, per-cell counter baselines, shadow gauges, and the recorded
-// series. It is created at engine construction when Config.Probe is set and
-// armed by collectRun at the end of the warm-up.
+// boundaries, per-cell counter baselines, and the recorded series. It is
+// created at engine construction when Config.Probe is set and armed by
+// collectRun at the end of the warm-up.
 type probeState struct {
 	spec   probe.Spec
 	cells  []*cell
 	series *probe.Series
 
-	gauges []probeGauges
 	counts []cellSnapshot
 	hos    []hoSnapshot
 
@@ -43,25 +23,18 @@ func newProbeState(spec probe.Spec, cells []*cell) *probeState {
 	return &probeState{spec: spec, cells: cells}
 }
 
-// arm begins recording at the measurement start: it snapshots every cell's
-// cumulative counters as baselines, starts the shadow gauges with the same
-// (time, value) origins the model's resetBatchWindow just used, and
-// preallocates the full series so sampling never allocates. start and final
-// must be the measurement-loop's exact warm-up end and final batch end.
+// arm begins recording at the measurement start, right after the model's
+// resetBatchWindow restarted every cell's gauges there: it snapshots every
+// cell's cumulative counters as baselines and preallocates the full series so
+// sampling never allocates. start and final must be the measurement-loop's
+// exact warm-up end and final batch end.
 func (ps *probeState) arm(start, final float64) {
 	ps.startT, ps.finalT = start, final
 	capacity := ps.spec.Windows(final - start)
 	ps.series = probe.NewSeries(len(ps.cells), ps.spec.IntervalSec, start, capacity)
-	ps.gauges = make([]probeGauges, len(ps.cells))
 	ps.counts = make([]cellSnapshot, len(ps.cells))
 	ps.hos = make([]hoSnapshot, len(ps.cells))
 	for i, c := range ps.cells {
-		g := &ps.gauges[i]
-		g.pdch.Start(start, c.pdchUsage.Current())
-		g.queue.Start(start, float64(len(c.buffer)))
-		g.voice.Start(start, float64(c.voiceCalls))
-		g.sess.Start(start, float64(c.sessions))
-		c.pr = g
 		ps.counts[i] = c.snapshot()
 		ps.hos[i] = c.handoverSnapshot()
 	}
@@ -83,14 +56,16 @@ func (ps *probeState) nextBoundary() (t float64, ok bool) {
 }
 
 // sample records one window at time t (every cell's engine clock is at t).
-// All appends land in preallocated capacity: the armed sampler path performs
-// no allocations.
+// The windowed gauge means come from the model's own accumulators through the
+// non-mutating MeanAt, which leaves their integrals untouched, so sampling
+// cannot perturb the terminal aggregates (see the determinism contract of
+// package probe). All appends land in preallocated capacity: the armed
+// sampler path performs no allocations.
 func (ps *probeState) sample(t float64) {
 	s := ps.series
 	s.Times = append(s.Times, t)
 	for i, c := range ps.cells {
 		cs := &s.Cells[i]
-		g := &ps.gauges[i]
 		base := &ps.counts[i]
 		hbase := &ps.hos[i]
 		cs.PacketsOffered = append(cs.PacketsOffered, c.packetsOffered-base.offered)
@@ -114,10 +89,10 @@ func (ps *probeState) sample(t float64) {
 		cs.QueueLen = append(cs.QueueLen, c.queuedPackets())
 		cs.VoiceCalls = append(cs.VoiceCalls, c.voiceCalls)
 		cs.Sessions = append(cs.Sessions, c.sessions)
-		cs.CarriedData = append(cs.CarriedData, g.pdch.MeanAt(t))
-		cs.MeanQueueLen = append(cs.MeanQueueLen, g.queue.MeanAt(t))
-		cs.CarriedVoice = append(cs.CarriedVoice, g.voice.MeanAt(t))
-		cs.AvgSessions = append(cs.AvgSessions, g.sess.MeanAt(t))
+		cs.CarriedData = append(cs.CarriedData, c.pdchUsage.MeanAt(t))
+		cs.MeanQueueLen = append(cs.MeanQueueLen, c.queueLen.MeanAt(t))
+		cs.CarriedVoice = append(cs.CarriedVoice, c.voiceOcc.MeanAt(t))
+		cs.AvgSessions = append(cs.AvgSessions, c.sessOcc.MeanAt(t))
 	}
 	ps.sampled++
 	if t == ps.finalT {
@@ -128,12 +103,12 @@ func (ps *probeState) sample(t float64) {
 // advanceProbed advances the engine to time `to`, stopping at every pending
 // probe window boundary on the way to sample the cells there. With a nil
 // probe state this is exactly e.advanceTo(to). The extra intermediate
-// advance targets repartition the engine's work without changing it: the
-// serial calendar pops the same total event order either way, and the
-// sharded engine's conservative windows deliver the same messages in the
-// same deterministically merged order (pinned empirically by the
-// probes-armed column of TestGoldenResultDigests).
-func advanceProbed(e engineCore, ps *probeState, to float64) error {
+// advance targets repartition the engine's work without changing it: a
+// single calendar pops the same total event order either way, and the shard
+// engine's conservative windows deliver the same messages in the same
+// deterministically merged order (pinned empirically by
+// TestGoldenResultDigestsProbesArmed).
+func advanceProbed(e *Sharded, ps *probeState, to float64) error {
 	if ps == nil {
 		return e.advanceTo(to)
 	}

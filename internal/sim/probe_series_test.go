@@ -1,6 +1,6 @@
 // Determinism and exactness contracts of the in-run probe layer (package
 // probe wired through Config.Probe): arming the time-series probes must not
-// change a single bit of the results on either engine, the recorded series
+// change a single bit of the results for any grouping, the recorded series
 // must reproduce the terminal per-cell aggregates exactly when integrated
 // over the run, and the shard engine's barrier counters must balance against
 // the handover-flow ledger.
@@ -14,7 +14,6 @@ import (
 	"strconv"
 	"testing"
 
-	"repro/internal/des"
 	"repro/internal/partition"
 	"repro/internal/probe"
 	"repro/internal/scenario"
@@ -39,42 +38,34 @@ func mustRunSeries(t *testing.T, cfg sim.Config, shards int) (sim.Results, *prob
 // TestGoldenResultDigestsProbesArmed is the probes-enabled column of the
 // golden digest table: with Config.Probe set — and its windows deliberately
 // misaligned with the batch boundaries, so the measurement loop's advance
-// targets are repartitioned — every preset on both engines and both event
-// queues must still reproduce the exact seed digests of the probes-off runs.
+// targets are repartitioned — every preset on the one-group and the 4-shard
+// engine must still reproduce the exact seed digests of the probes-off runs.
 // This pins the probe determinism contract (no model events, no extra draws,
-// shadow-only accumulators) bit for bit. -short restricts the table to the
-// seven-cell cluster on the default heap queue, mirroring the probes-off
+// read-only sampling of the model accumulators) bit for bit. -short
+// restricts the table to the seven-cell cluster, mirroring the probes-off
 // test.
 func TestGoldenResultDigestsProbesArmed(t *testing.T) {
-	queues := []des.QueueKind{des.HeapQueue, des.CalendarQueue}
-	if testing.Short() {
-		queues = queues[:1]
-	}
 	for _, g := range goldenDigests {
 		if g.cells != 7 && testing.Short() {
 			continue
 		}
 		t.Run(fmt.Sprintf("%s/%dcells", g.name, g.cells), func(t *testing.T) {
-			for _, queue := range queues {
-				for _, shards := range []int{1, 4} {
-					cfg := goldenConfig(t, g.name, g.cells)
-					cfg.EventQueue = queue
-					// 37.5 s does not divide the 120 s batch length: probe
-					// boundaries interleave with batch ends.
-					cfg.Probe = &probe.Spec{IntervalSec: 37.5}
-					res, ser := mustRunSeries(t, cfg, shards)
-					if got := seedDigest(res); got != g.want {
-						t.Errorf("queue %d, %d shard(s): probes-armed digest %s, want seed digest %s",
-							queue, shards, got, g.want)
-					}
-					if ser.Windows() != 16 {
-						t.Errorf("queue %d, %d shard(s): %d windows recorded, want 16",
-							queue, shards, ser.Windows())
-					}
-					if last := ser.Times[ser.Windows()-1]; last != cfg.WarmupSec+cfg.MeasurementSec {
-						t.Errorf("queue %d, %d shard(s): last window at %v, want %v",
-							queue, shards, last, cfg.WarmupSec+cfg.MeasurementSec)
-					}
+			for _, shards := range []int{1, 4} {
+				cfg := goldenConfig(t, g.name, g.cells)
+				// 37.5 s does not divide the 120 s batch length: probe
+				// boundaries interleave with batch ends.
+				cfg.Probe = &probe.Spec{IntervalSec: 37.5}
+				res, ser := mustRunSeries(t, cfg, shards)
+				if got := seedDigest(res); got != g.want {
+					t.Errorf("%d shard(s): probes-armed digest %s, want seed digest %s",
+						shards, got, g.want)
+				}
+				if ser.Windows() != 16 {
+					t.Errorf("%d shard(s): %d windows recorded, want 16", shards, ser.Windows())
+				}
+				if last := ser.Times[ser.Windows()-1]; last != cfg.WarmupSec+cfg.MeasurementSec {
+					t.Errorf("%d shard(s): last window at %v, want %v",
+						shards, last, cfg.WarmupSec+cfg.MeasurementSec)
 				}
 			}
 		})
@@ -84,7 +75,7 @@ func TestGoldenResultDigestsProbesArmed(t *testing.T) {
 // TestSeriesMatchesPerCellAggregates is the exactness contract of the series:
 // the final (clamped) window's cumulative counters equal the terminal PerCell
 // totals bit for bit, the derived ratios (blocking, loss, delay, throughput)
-// reproduce the report's formulas exactly, and the shadow-gauge means match
+// reproduce the report's formulas exactly, and the series gauge means match
 // the terminal time averages bit for bit in every cell — the mid cell
 // included, since the batch-means loop differences running integrals instead
 // of restarting the mid cell's gauges, and radio-block deliveries are
@@ -155,9 +146,10 @@ func TestSeriesMatchesPerCellAggregates(t *testing.T) {
 			{"AGS", cs.AvgSessions[k], m.AverageSessions},
 		}
 		// Every cell keeps one gauge window for the whole measurement (batch
-		// boundaries only read running integrals), so shadow and model
-		// accumulators hold identical state and the means must agree bit for
-		// bit — no boundary tolerance, mid cell included.
+		// boundaries and probe windows only read running integrals), so the
+		// final window and the report read the same accumulator state and
+		// the means must agree bit for bit — no boundary tolerance, mid cell
+		// included.
 		for _, g := range gauges {
 			if g.got != g.want {
 				t.Errorf("cell %d: series %s mean %v, want terminal %v bit-identically", i, g.name, g.got, g.want)

@@ -1,6 +1,6 @@
 // Cross-engine equivalence of the workload-scenario layer: for every
-// built-in scenario generator the serial single-calendar engine and the
-// sharded engine must produce bit-identical results (the determinism contract
+// built-in scenario generator the one-group engine (every cell on one
+// calendar) and the sharded engine must produce bit-identical results (the determinism contract
 // of internal/shard extends to heterogeneous, time-varying load), and the
 // uniform scenario must reproduce the profile-less simulator exactly. The
 // tests live in an external test package because internal/scenario imports
@@ -17,7 +17,6 @@ import (
 	"testing"
 
 	"repro/internal/cluster"
-	"repro/internal/des"
 	"repro/internal/scenario"
 	"repro/internal/sim"
 	"repro/internal/stats"
@@ -58,9 +57,8 @@ func mustRun(t *testing.T, cfg sim.Config, shards int) sim.Results {
 // mobility presets (highway, hotspot-pedestrian) alike — serial and sharded
 // runs of the same configuration are bit-identical, per-cell measures and
 // handover-flow counters included. The table crosses every preset with the
-// {7, 19}-cell clusters and the {1, 4} engine layouts (1 is the serial
-// single-calendar engine, the reference the sharded runs are compared
-// against); the full run adds a 2-shard layout so uneven cell groupings stay
+// {7, 19}-cell clusters and the {1, 4} engine layouts (1 is the one-group
+// engine, the reference the sharded runs are compared against); the full run adds a 2-shard layout so uneven cell groupings stay
 // covered. -short restricts the table to the seven-cell cluster.
 func TestScenariosSerialShardedBitIdentical(t *testing.T) {
 	sizes := []int{7}
@@ -93,7 +91,7 @@ func TestScenariosSerialShardedBitIdentical(t *testing.T) {
 				for _, shards := range shardCounts {
 					sharded := mustRun(t, cfg, shards)
 					if !reflect.DeepEqual(sharded, serial) {
-						t.Errorf("%s on %d cells: sharded (%d shards) differs from serial engine", name, cells, shards)
+						t.Errorf("%s on %d cells: sharded (%d shards) differs from the one-group engine", name, cells, shards)
 					}
 				}
 			})
@@ -232,29 +230,20 @@ func goldenConfig(t *testing.T, name string, cells int) sim.Config {
 // TestGoldenResultDigests pins the exact seed results bit for bit: any
 // refactor that changes a single draw, merge order, or accumulation anywhere
 // in the engine stack fails this test. Every scenario preset (plus the
-// profile-less baseline) runs on both the serial and the 4-shard engine and
-// on both event-list implementations (binary heap and calendar queue) — all
-// four paths must reproduce the same golden digest. -short restricts the
-// table to the seven-cell cluster and drops the calendar-queue leg.
+// profile-less baseline) runs on the one-group and the 4-shard engine, and
+// both must reproduce the same golden digest. -short restricts the table to
+// the seven-cell cluster.
 func TestGoldenResultDigests(t *testing.T) {
-	queues := []des.QueueKind{des.HeapQueue, des.CalendarQueue}
-	if testing.Short() {
-		queues = queues[:1]
-	}
 	for _, g := range goldenDigests {
 		if g.cells != 7 && testing.Short() {
 			continue
 		}
 		t.Run(fmt.Sprintf("%s/%dcells", g.name, g.cells), func(t *testing.T) {
-			for _, queue := range queues {
-				for _, shards := range []int{1, 4} {
-					cfg := goldenConfig(t, g.name, g.cells)
-					cfg.EventQueue = queue
-					res := mustRun(t, cfg, shards)
-					if got := seedDigest(res); got != g.want {
-						t.Errorf("queue %d, %d shard(s): digest %s, want seed digest %s",
-							queue, shards, got, g.want)
-					}
+			for _, shards := range []int{1, 4} {
+				cfg := goldenConfig(t, g.name, g.cells)
+				res := mustRun(t, cfg, shards)
+				if got := seedDigest(res); got != g.want {
+					t.Errorf("%d shard(s): digest %s, want seed digest %s", shards, got, g.want)
 				}
 			}
 		})
@@ -329,7 +318,7 @@ func TestConstantTraceReproducesUniform(t *testing.T) {
 // the empirical-traffic layer, named so the CI race job can select it: the
 // trace replay and the MMPP burst pattern — the presets whose schedules are
 // generated rather than hand-written — must stay bit-identical between the
-// serial engine and the {1, 4}-shard layouts on both cluster sizes. -short
+// one-group engine and the 4-shard layout on both cluster sizes. -short
 // keeps the seven-cell column only.
 func TestTraceMMPPShardedBitIdentity(t *testing.T) {
 	for _, name := range []string{"trace", "mmpp-bursty"} {
@@ -354,10 +343,8 @@ func TestTraceMMPPShardedBitIdentity(t *testing.T) {
 				if reflect.DeepEqual(serial, baseline) {
 					t.Errorf("%s should modulate the sample path away from the baseline", name)
 				}
-				for _, shards := range []int{1, 4} {
-					if sharded := mustRun(t, cfg, shards); !reflect.DeepEqual(sharded, serial) {
-						t.Errorf("%s on %d cells: %d-shard run differs from serial engine", name, cells, shards)
-					}
+				if sharded := mustRun(t, cfg, 4); !reflect.DeepEqual(sharded, serial) {
+					t.Errorf("%s on %d cells: 4-shard run differs from the one-group engine", name, cells)
 				}
 			})
 		}
@@ -369,7 +356,7 @@ func TestTraceMMPPShardedBitIdentity(t *testing.T) {
 // single dwell time per service, so installing it must not change a single
 // bit of the results relative to a run without any mobility profile — the
 // dwell sampler draws exactly the same variates (see cell.armDwell). Checked
-// on both engines and both cluster sizes.
+// on one group and on four shards, on both cluster sizes.
 func TestUniformMobilityReproducesBaseline(t *testing.T) {
 	for _, cells := range []int{7, 19} {
 		if cells != 7 && testing.Short() {
@@ -488,7 +475,7 @@ func TestHighwaySkewsHandoverFlow(t *testing.T) {
 
 // TestMismatchedMobilityProfileRejected mirrors the rate-profile guard: a
 // mobility profile compiled for a smaller cluster than the configured
-// topology must be refused by both engines.
+// topology must be refused by New and by NewSharded.
 func TestMismatchedMobilityProfileRejected(t *testing.T) {
 	mob := scenario.Mobility{Spatial: scenario.Spatial{Kind: scenario.Hotspot, Peak: 2, Decay: 1}}
 	prof, err := mob.Compile(cluster.NewHexCluster())

@@ -9,30 +9,33 @@ import (
 	"repro/internal/partition"
 	"repro/internal/probe"
 	"repro/internal/shard"
+	"repro/internal/traffic"
 )
 
 // ShardedOptions configures the shard-parallel engine.
 type ShardedOptions struct {
-	// Shards is the number of workers advancing cell groups in parallel; the
-	// zero value means min(NumCPU, number of groups). It also sets the
-	// default group count when Config.Partition does not pin one. Neither
-	// the worker count nor the grouping ever affects results — a given
-	// (seed, configuration) is bit-identical for every partitioning and
-	// worker count, and identical to the serial engine.
+	// Shards is the number of workers advancing cell groups in parallel. In
+	// NewSharded the zero value means min(NumCPU, number of cells); in
+	// RunOnce and RunOnceSeries any value <= 1 means one group (New). It
+	// also sets the default group count when Config.Partition does not pin
+	// one. Neither the worker count nor the grouping ever affects results —
+	// a given (seed, configuration) is bit-identical for every partitioning
+	// and worker count, a single group included.
 	Shards int
 	// Limiter, when non-nil, bounds the shard workers together with outer
 	// fan-outs (typically the replication pool's shared runner.Limiter), so
 	// shard-level and replication-level parallelism compose under one global
-	// worker bound.
+	// worker bound. A single group never takes a token.
 	Limiter shard.Limiter
 }
 
-// Sharded runs the detailed network-level model with one event calendar per
-// cell group, advanced in conservative time windows by the shard engine. The
-// cell→group assignment comes from Config.Partition (internal/partition;
-// locality-aware grouping by default), cells of one group interact directly
-// on their shared calendar exactly like the serial engine, and only
-// cross-group handovers travel as barrier messages. The window length
+// Sharded runs the detailed network-level model of the GSM/GPRS cluster with
+// one event calendar per cell group. New puts every cell on one calendar,
+// which runs straight through; NewSharded groups the cells by
+// Config.Partition (internal/partition; locality-aware grouping by default)
+// and advances several groups in conservative time windows by the shard
+// engine. Cells of one group interact directly on their shared calendar, and
+// only cross-group handovers travel as barrier messages. The window length
 // (synchronization lookahead) is the handover latency: handovers are the only
 // cross-cell interaction, and a handover decided at time t takes effect at
 // t + HandoverLatencySec, so no message can arrive inside the window that
@@ -45,7 +48,7 @@ type Sharded struct {
 	cells  []*cell
 	groups []*groupProc
 	part   *partition.Assignment
-	engine *shard.Engine
+	engine *shard.Engine // nil for a single group
 	pstate *probeState
 }
 
@@ -63,7 +66,7 @@ type groupProc struct {
 	// group's pool when its delivery fires — each pool is only ever touched
 	// by the goroutine currently advancing its group (or by the barrier), so
 	// no locking is needed. Intra-group handovers acquire and release on the
-	// same pool, like the serial engine's freelist.
+	// same pool.
 	free []*groupTransit
 }
 
@@ -120,24 +123,14 @@ func (p *groupProc) Deliver(m shard.Message) {
 	}
 }
 
-// RunOnce builds and runs one simulator to completion: on the serial
-// single-calendar engine, or on the sharded engine when opt.Shards > 1. The
-// two engines are bit-identical for a given configuration, so opt affects
-// only how the run is scheduled. It is the single engine-selection point
-// shared by cmd/gprs-sim and the replication runner.
+// RunOnce builds and runs one simulator to completion: all cells on one
+// calendar (New) when opt.Shards <= 1, otherwise on the sharded engine
+// (NewSharded). Every grouping is bit-identical for a given configuration, so
+// opt affects only how the run is scheduled. It is the single
+// engine-selection point shared by cmd/gprs-sim and the replication runner.
 func RunOnce(cfg Config, opt ShardedOptions) (Results, error) {
-	if opt.Shards > 1 {
-		e, err := NewSharded(cfg, opt)
-		if err != nil {
-			return Results{}, err
-		}
-		return e.Run()
-	}
-	s, err := New(cfg)
-	if err != nil {
-		return Results{}, err
-	}
-	return s.Run()
+	res, _, err := RunOnceSeries(cfg, opt)
+	return res, err
 }
 
 // RunOnceSeries is RunOnce with the recorded sim-time series returned
@@ -145,85 +138,94 @@ func RunOnce(cfg Config, opt ShardedOptions) (Results, error) {
 // Results are bit-identical to RunOnce's either way (the probe's determinism
 // contract). Like RunOnce it is single-use per call: it builds a fresh engine.
 func RunOnceSeries(cfg Config, opt ShardedOptions) (Results, *probe.Series, error) {
-	if opt.Shards > 1 {
-		e, err := NewSharded(cfg, opt)
-		if err != nil {
-			return Results{}, nil, err
-		}
-		res, err := e.Run()
-		if err != nil {
-			return Results{}, nil, err
-		}
-		return res, e.Series(), nil
-	}
-	s, err := New(cfg)
+	e, err := build(cfg, opt, opt.Shards <= 1)
 	if err != nil {
 		return Results{}, nil, err
 	}
-	res, err := s.Run()
+	res, err := e.Run()
 	if err != nil {
 		return Results{}, nil, err
 	}
-	return res, s.Series(), nil
+	return res, e.Series(), nil
+}
+
+// New validates the configuration and builds a simulator with every cell on
+// one event calendar. The calendar runs straight to each target time: it
+// crosses no synchronization window and takes no Limiter token, and
+// Config.Partition is ignored (the reported Config keeps it as given).
+func New(cfg Config) (*Sharded, error) {
+	return build(cfg, ShardedOptions{}, true)
 }
 
 // NewSharded validates the configuration, resolves the cell→group partition,
-// and builds a sharded simulator. Like a Simulator it is single-use; Run may
-// use up to Shards goroutines. When Config.Partition is nil the cells are
-// grouped by the locality-aware partitioner into one group per worker, using
-// the rate profile's integrated per-cell load as weights.
+// and builds a sharded simulator. It is single-use; Run may use up to Shards
+// goroutines. When Config.Partition is nil the cells are grouped by the
+// locality-aware partitioner into one group per worker, using the rate
+// profile's integrated per-cell load as weights; a single group runs like New.
 func NewSharded(cfg Config, opt ShardedOptions) (*Sharded, error) {
+	return build(cfg, opt, false)
+}
+
+// build is the construction path of New and NewSharded: it validates and
+// defaults the configuration, computes the radio blocks per packet, resolves
+// the partition (the trivial one-group assignment when oneGroup is set, or
+// when one worker has no partition pinned), and creates one calendar per
+// group shared by its member cells. Only a multi-group build gets a shard
+// engine.
+func build(cfg Config, opt ShardedOptions, oneGroup bool) (*Sharded, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	// Resolve the partition against the defaulted configuration: group
-	// calendars are created per group and shared by the member cells, so the
-	// assignment must exist before the cells do. buildCells re-applies the
-	// same validation and defaulting, which is idempotent.
-	dcfg := cfg.withDefaults()
+	cfg = cfg.withDefaults()
+	bpp := cfg.Channels.Coding.RadioBlocksPerPacket(traffic.PacketSizeBytes)
+	if bpp < 1 {
+		return nil, fmt.Errorf("%w: coding scheme %v yields no radio blocks", ErrInvalidConfig, cfg.Channels.Coding)
+	}
+	n := cfg.Topology.NumCells()
 	workers := opt.Shards
 	if workers <= 0 {
 		workers = runtime.NumCPU()
 	}
-	if n := dcfg.Topology.NumCells(); workers > n {
-		workers = n
+	workers = min(workers, n)
+	spec := cfg.Partition
+	var assign *partition.Assignment
+	var err error
+	if oneGroup || (spec == nil && workers == 1) {
+		assign, err = partition.IndexRange(n, 1)
+	} else {
+		if spec == nil {
+			spec = &partition.Spec{Kind: partition.KindLocality}
+		}
+		assign, err = spec.Build(cfg.Topology, cellLoadWeights(cfg), workers)
 	}
-	spec := dcfg.Partition
-	if spec == nil {
-		spec = &partition.Spec{Kind: partition.KindLocality}
-	}
-	assign, err := spec.Build(dcfg.Topology, cellLoadWeights(dcfg), workers)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrInvalidConfig, err)
 	}
 
-	s := &Sharded{part: assign}
-	calendars := make([]*des.Simulation, assign.NumGroups())
-	for g := range calendars {
-		calendars[g] = des.NewSimulationQueue(cfg.EventQueue)
-	}
-	s.config, s.bpp, s.cells, err = buildCells(cfg, s, func(i int) *des.Simulation { return calendars[assign.Of(i)] })
-	if err != nil {
-		return nil, err
-	}
+	s := &Sharded{config: cfg, bpp: bpp, part: assign}
 	s.groups = make([]*groupProc, assign.NumGroups())
-	procs := make([]shard.Process, assign.NumGroups())
+	procs := make([]shard.Process, len(s.groups))
 	for g := range s.groups {
-		s.groups[g] = &groupProc{id: g, eng: calendars[g]}
+		s.groups[g] = &groupProc{id: g, eng: des.NewSimulation()}
 		procs[g] = s.groups[g]
 	}
-	engine, err := shard.New(procs, shard.Options{
-		Lookahead: s.config.HandoverLatencySec,
-		Shards:    opt.Shards,
-		Limiter:   opt.Limiter,
-		Metrics:   probe.Default,
-	})
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrInvalidConfig, err)
+	s.cells = make([]*cell, n)
+	for i := range s.cells {
+		s.cells[i] = newCell(i, s, s.groups[assign.Of(i)].eng, cfg.Seed, cfg.Streams)
 	}
-	s.engine = engine
-	if s.config.Probe != nil {
-		s.pstate = newProbeState(*s.config.Probe, s.cells)
+	if len(s.groups) > 1 {
+		s.engine, err = shard.New(procs, shard.Options{
+			Lookahead: cfg.HandoverLatencySec,
+			Shards:    opt.Shards,
+			Limiter:   opt.Limiter,
+			Metrics:   probe.Default,
+		})
+		if err != nil {
+			return nil, fmt.Errorf("%w: %v", ErrInvalidConfig, err)
+		}
+	}
+	if cfg.Probe != nil {
+		s.pstate = newProbeState(*cfg.Probe, s.cells)
 	}
 	return s, nil
 }
@@ -235,7 +237,12 @@ func (s *Sharded) Config() Config { return s.config }
 func (s *Sharded) MidCell() int { return cluster.MidCell }
 
 // Shards returns the number of workers advancing cell groups in parallel.
-func (s *Sharded) Shards() int { return s.engine.Shards() }
+func (s *Sharded) Shards() int {
+	if s.engine == nil {
+		return 1
+	}
+	return s.engine.Shards()
+}
 
 // Partition returns the resolved cell→group assignment of this simulator.
 func (s *Sharded) Partition() *partition.Assignment { return s.part }
@@ -278,15 +285,26 @@ func (s *Sharded) Series() *probe.Series {
 // scheduled directly on the group calendar), so MergedMessages equals the
 // cells' summed cross-group handover departures — with a one-cell-per-group
 // partition that is every handover departure, the historic per-cell-shard
-// accounting.
-func (s *Sharded) ShardStats() shard.Stats { return s.engine.Stats() }
+// accounting. A single group crosses no window: its counters stay zero.
+func (s *Sharded) ShardStats() shard.Stats {
+	if s.engine == nil {
+		return shard.Stats{}
+	}
+	return s.engine.Stats()
+}
 
 func (s *Sharded) conf() *Config             { return &s.config }
 func (s *Sharded) radioBlocksPerPacket() int { return s.bpp }
-func (s *Sharded) cellList() []*cell         { return s.cells }
-func (s *Sharded) probes() *probeState       { return s.pstate }
 
-func (s *Sharded) advanceTo(t float64) error { return s.engine.AdvanceTo(t) }
+// advanceTo runs every group to time t: a single group straight through on
+// its calendar, several groups in shard-engine windows.
+func (s *Sharded) advanceTo(t float64) error {
+	if s.engine == nil {
+		s.groups[0].eng.RunUntil(t)
+		return nil
+	}
+	return s.engine.AdvanceTo(t)
+}
 
 func (s *Sharded) processedEvents() uint64 {
 	var total uint64
@@ -306,9 +324,9 @@ func (s *Sharded) poolStats() (hits, misses, free uint64) {
 	return hits, misses, free
 }
 
-// dispatch implements cellEnv. An intra-group handover is scheduled directly
-// on the shared group calendar, exactly like the serial engine's dispatch; a
-// cross-group handover is queued on the source group's outbox and merged and
+// dispatch sends a handover message from src to cell dst. An intra-group
+// handover is scheduled directly on the shared group calendar; a cross-group
+// handover is queued on the source group's outbox and merged and
 // delivered by the shard engine at the next window barrier. Either way the
 // message fires at src.now() + HandoverLatencySec, so the split is invisible
 // to the model.

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/cluster"
+	"repro/internal/partition"
 )
 
 // shardedQuickConfig returns a short run of the scaled-down cell on the given
@@ -56,15 +57,16 @@ func TestShardedDeterministicAcrossShardCounts(t *testing.T) {
 }
 
 // TestShardedMatchesSerialEngine checks the stronger property that the
-// sharded engine reproduces the serial single-calendar engine bit for bit —
-// both deliver handovers at the same absolute times and both drive every cell
-// from the same substreams, so the engines are interchangeable.
+// sharded engine reproduces the one-group engine (every cell on one calendar,
+// run straight through) bit for bit — both deliver handovers at the same
+// absolute times and both drive every cell from the same substreams, so the
+// groupings are interchangeable.
 func TestShardedMatchesSerialEngine(t *testing.T) {
 	cfg := shardedQuickConfig(t, 7)
 	serial := runQuick(t, cfg)
 	got := runSharded(t, cfg, ShardedOptions{Shards: 3})
 	if !reflect.DeepEqual(got, serial) {
-		t.Errorf("sharded engine differs from serial engine:\n%+v\nvs\n%+v", got, serial)
+		t.Errorf("sharded engine differs from the one-group engine:\n%+v\nvs\n%+v", got, serial)
 	}
 
 	if testing.Short() {
@@ -74,7 +76,7 @@ func TestShardedMatchesSerialEngine(t *testing.T) {
 	serial19 := runQuick(t, cfg19)
 	got19 := runSharded(t, cfg19, ShardedOptions{Shards: 4})
 	if !reflect.DeepEqual(got19, serial19) {
-		t.Error("sharded engine differs from serial engine on the 19-cell cluster")
+		t.Error("sharded engine differs from the one-group engine on the 19-cell cluster")
 	}
 }
 
@@ -159,6 +161,31 @@ func TestNewShardedValidation(t *testing.T) {
 	}
 	if s.Config().HandoverLatencySec <= 0 {
 		t.Error("defaulted configuration should carry a positive handover latency")
+	}
+}
+
+// TestNewBuildsOneGroup pins the one-group constructor: New ignores a pinned
+// Config.Partition without rewriting the Config it reports, builds no shard
+// engine, and reproduces the sharded run of the same partition.
+func TestNewBuildsOneGroup(t *testing.T) {
+	cfg := shardedQuickConfig(t, 7)
+	cfg.Partition = &partition.Spec{Kind: partition.KindLocality, Groups: 3}
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.Partition().NumGroups() != 1 || s.Shards() != 1 || s.engine != nil {
+		t.Fatalf("New built %d groups on %d workers", s.Partition().NumGroups(), s.Shards())
+	}
+	if !reflect.DeepEqual(s.Config().Partition, cfg.Partition) {
+		t.Errorf("New rewrote Config().Partition to %v", s.Config().Partition)
+	}
+	res, err := s.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := runSharded(t, cfg, ShardedOptions{Shards: 2}); !reflect.DeepEqual(got, res) {
+		t.Error("3-group sharded run differs from the one-group run")
 	}
 }
 
