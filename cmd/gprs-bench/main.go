@@ -200,7 +200,7 @@ func hotspotConfig(cells int, quick bool) (sim.Config, error) {
 	if err != nil {
 		return sim.Config{}, err
 	}
-	if _, err := scenario.Apply(&cfg, spec); err != nil {
+	if _, err := (scenario.Workload{Spec: &spec}).Apply(&cfg); err != nil {
 		return sim.Config{}, err
 	}
 	return cfg, nil

@@ -1,36 +1,25 @@
 // Command gprs-experiments regenerates the tables and figures of the paper's
 // evaluation section and writes one CSV file per figure. Figures, sweep
 // points, and simulator replications all run concurrently under one global
-// -workers bound; simulator series carry cross-replication confidence
-// intervals from -replications independent runs seeded from -seed. Overlapping
-// model solutions are memoized across figures. -cells selects the simulated
-// cluster size (7 is the paper's cluster; 19 and 37 are generated wrap-around
-// hex rings) and -shards > 1 runs each simulator replication on the sharded
-// multi-cell engine without changing the results. Progress is reported on
-// stderr.
+// -workers bound, and overlapping model solutions are memoized across
+// figures. `-figure hotspot` regenerates the per-cell figures of a
+// heterogeneous-load scenario — the spatial response of the cluster by hex
+// distance from the scenario center (or from the corridor axis), the
+// handover flow (hsp05) and where an admission policy intervenes (hsp06).
 //
-// -scenario/-scenario-file install a heterogeneous-load workload scenario
-// (internal/scenario) on every simulator run; `-figure hotspot` regenerates
-// the per-cell hotspot figures — the spatial response of the cluster by hex
-// distance from the scenario center (or from the corridor axis for corridor
-// scenarios such as the highway preset), the first workload the analytical
-// model cannot express. Scenarios with a mobility profile (highway,
-// hotspot-pedestrian) additionally skew the per-cell handover flow, reported
-// by the hsp05 figure. -trace replays a measured arrival series from a CSV
-// file (header time_sec,{rate_per_s|arrivals}[,payload_bytes]), replacing the
-// temporal profile of whatever scenario is selected.
+// The simulator flags it shares with gprs-sim — replications, adaptive
+// stopping and variance reduction, cluster size, sharding and partitioning,
+// workload scenario, trace, admission policy and telemetry — are bound by
+// cmd/internal/simflags (see the README's CLI reference) and apply to every
+// simulator run. Here -replications defaults to the fidelity's count and
+// -cells to the paper's cluster (19 cells for -figure hotspot). A figure
+// rejects options every one of its simulated points would reject before any
+// model solve.
 //
-// -policy (with -guard/-ho-queue/-ho-deadline) installs a handover admission
-// policy (internal/policy) on every simulator run, overriding any policy the
-// scenario declares; the policy presets (hotspot-guard, hotspot-hoqueue,
-// highway-retry) bundle a policy with a matching load shape. The hsp06
-// figure reports where in the cluster the policy intervenes.
-//
-// Progress is human-readable by default; -progress-json switches the stderr
-// stream to structured JSON lines (one event per completed sweep point or
+// Progress is human-readable on stderr by default; -progress-json switches
+// the stream to structured JSON lines (one event per completed sweep point or
 // figure group, with wall-clock elapsed and a remaining-work estimate), for
-// driving dashboards or CI annotations. -telemetry serves live pprof and
-// expvar runtime metrics over HTTP for the duration of the run.
+// driving dashboards or CI annotations.
 //
 // Examples:
 //
@@ -52,146 +41,61 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 	"time"
 
-	"repro/internal/cluster"
+	"repro/cmd/internal/simflags"
 	"repro/internal/experiments"
-	"repro/internal/partition"
-	"repro/internal/policy"
-	"repro/internal/probe"
-	"repro/internal/runner"
-	"repro/internal/scenario"
 )
 
 func main() {
-	if err := run(os.Args[1:]); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "gprs-experiments:", err)
 		os.Exit(1)
 	}
 }
 
-func run(args []string) error {
+func run(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("gprs-experiments", flag.ContinueOnError)
+	shared := simflags.Register(fs)
 	var (
-		full    = fs.Bool("full", false, "run the paper-resolution parameter setting (slow)")
-		figure  = fs.String("figure", "all", "figure to regenerate: all, tables, fig5 ... fig15")
-		outDir  = fs.String("out", "results", "directory for CSV output")
-		workers = fs.Int("workers", 0, "concurrent model solutions and simulator runs (0 = NumCPU); also sizes adaptive growth batches — pin it to reproduce -precision runs across machines")
-		noSim   = fs.Bool("no-sim", false, "skip the detailed-simulator series of figs 5 and 6")
-		tol     = fs.Float64("tol", 0, "steady-state solver tolerance (0 = default)")
-		reps    = fs.Int("replications", 0, "independent simulator replications per point (0 = fidelity default; ignored with -precision)")
-		prec    = fs.Float64("precision", 0, "adaptive stopping: relative CI half-width target for -target (0 = fixed -replications)")
-		minReps = fs.Int("min-reps", 0, "adaptive mode: replications in the first batch (0 = 4)")
-		maxReps = fs.Int("max-reps", 0, "adaptive mode: replication cap (0 = 64)")
-		vrName  = fs.String("vr", "none", "variance reduction for simulator points: none, antithetic, control")
-		target  = fs.String("target", "throughput", "measure watched by -precision: "+strings.Join(runner.MeasureNames(), ", "))
-		seed    = fs.Int64("seed", 1, "base seed of the simulator replications")
-		cells   = fs.Int("cells", 0, "simulated cluster size: 0/7 (paper) or a wrap-around hex-ring preset (cluster.PresetSizes)")
-		shards  = fs.Int("shards", 1, "cell groups advanced in parallel per simulator replication (1 = one group)")
-		partFlg = fs.String("partition", "", "cell→group partitioning of -shards > 1 runs: kind[:groups] with kinds "+strings.Join(partition.Kinds(), ", ")+", or explicit JSON (default: locality); never affects results")
-		scnName = fs.String("scenario", "", "built-in workload scenario for all simulator runs: "+strings.Join(scenario.Names(), ", "))
-		scnFile = fs.String("scenario-file", "", "JSON workload-scenario file (overrides -scenario)")
-		trcFile = fs.String("trace", "", "replay a measured arrival trace from this CSV file (header time_sec,{rate_per_s|arrivals}[,payload_bytes]); replaces the scenario's temporal profile")
-		polName = fs.String("policy", "", "handover admission policy for all simulator runs (overrides the scenario's): "+strings.Join(policy.Names(), ", "))
-		guard   = fs.Int("guard", 0, "voice channels reserved for handovers (-policy guard)")
-		hoQueue = fs.Int("ho-queue", 0, "per-cell handover queue capacity (-policy queue)")
-		hoDead  = fs.Float64("ho-deadline", 0, "queued-handover deadline in seconds (-policy queue)")
-		quiet   = fs.Bool("quiet", false, "suppress progress output on stderr")
-		pjson   = fs.Bool("progress-json", false, "emit structured JSON-lines progress events on stderr instead of human-readable lines")
-		telem   = fs.String("telemetry", "", "serve live pprof/expvar telemetry on this address (e.g. :6060) for the duration of the run")
+		full   = fs.Bool("full", false, "run the paper-resolution parameter setting (slow)")
+		figure = fs.String("figure", "all", "figure to regenerate: all, tables, fig5 ... fig15, hotspot")
+		outDir = fs.String("out", "results", "directory for CSV output")
+		noSim  = fs.Bool("no-sim", false, "skip the detailed-simulator series of figs 5 and 6")
+		tol    = fs.Float64("tol", 0, "steady-state solver tolerance (0 = default)")
+		quiet  = fs.Bool("quiet", false, "suppress progress output on stderr")
+		pjson  = fs.Bool("progress-json", false, "emit structured JSON-lines progress events on stderr instead of human-readable lines")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if *telem != "" {
-		addr, err := probe.ServeTelemetry(*telem)
-		if err != nil {
-			return fmt.Errorf("telemetry: %w", err)
-		}
-		fmt.Fprintf(os.Stderr, "telemetry on http://%s/debug/pprof/ and /debug/vars\n", addr)
-	}
-	vr, err := runner.ParseVR(*vrName)
+	work, ro, err := shared.Bind()
 	if err != nil {
 		return err
-	}
-	targetMeasure, err := runner.ParseMeasure(*target)
-	if err != nil {
-		return err
-	}
-	if *cells != 0 {
-		// Validate up front: figures solve their full analytical sweeps
-		// before the simulator runs, so a bad cluster size must not surface
-		// only after minutes of wasted model solutions.
-		if _, err := cluster.Preset(*cells); err != nil {
-			return err
-		}
 	}
 
 	start := time.Now()
 	opts := experiments.Options{
 		Fidelity:        experiments.Quick,
-		Workers:         *workers,
+		Workers:         ro.Workers,
 		WithSimulation:  !*noSim,
 		Tolerance:       *tol,
-		Replications:    *reps,
-		Precision:       *prec,
-		Target:          targetMeasure,
-		MinReplications: *minReps,
-		MaxReplications: *maxReps,
-		VR:              vr,
-		SimSeed:         *seed,
-		Cells:           *cells,
-		Shards:          *shards,
-	}
-	if *partFlg != "" {
-		spec, err := partition.ParseSpec(*partFlg)
-		if err != nil {
-			return fmt.Errorf("-partition: %w", err)
-		}
-		opts.Partition = spec
+		Replications:    ro.Replications,
+		Precision:       ro.Precision,
+		Target:          ro.Target,
+		MinReplications: ro.MinReplications,
+		MaxReplications: ro.MaxReplications,
+		VR:              ro.VR,
+		SimSeed:         ro.BaseSeed,
+		Shards:          ro.Shards,
+		Workload:        work,
 	}
 	if *full {
 		opts.Fidelity = experiments.Full
 	}
-	switch {
-	case *scnFile != "":
-		spec, err := scenario.Load(*scnFile)
-		if err != nil {
-			return err
-		}
-		opts.Scenario = &spec
-	case *scnName != "":
-		spec, err := scenario.Preset(*scnName)
-		if err != nil {
-			return err
-		}
-		opts.Scenario = &spec
-	}
-	if *trcFile != "" {
-		// -trace replaces the temporal profile of whatever scenario the other
-		// flags selected (the uniform baseline when they selected none), so a
-		// measured arrival series can modulate any spatial shape.
-		rows, err := scenario.LoadTraceCSV(*trcFile)
-		if err != nil {
-			return err
-		}
-		spec := scenario.Spec{Name: "trace"}
-		if opts.Scenario != nil {
-			spec = *opts.Scenario
-		}
-		spec.Temporal = scenario.Temporal{Kind: scenario.Trace, Rows: rows}
-		if err := spec.Validate(); err != nil {
-			return err
-		}
-		opts.Scenario = &spec
-	}
-	pol, err := resolvePolicyFlags(*polName, *guard, *hoQueue, *hoDead)
-	if err != nil {
-		return err
-	}
-	opts.Policy = pol
 	switch {
 	case *quiet:
 		// No progress stream at all.
@@ -203,55 +107,34 @@ func run(args []string) error {
 		}
 	}
 
-	if *figure == "tables" || *figure == "all" {
-		fmt.Print(experiments.TableBaseParameters().String())
-		fmt.Println()
-		fmt.Print(experiments.TableTrafficModels().String())
-		fmt.Println()
-		if *figure == "tables" {
+	name := strings.ToLower(*figure)
+	if name == "tables" || name == "all" {
+		fmt.Fprint(stdout, experiments.TableBaseParameters().String())
+		fmt.Fprintln(stdout)
+		fmt.Fprint(stdout, experiments.TableTrafficModels().String())
+		fmt.Fprintln(stdout)
+		if name == "tables" {
 			return nil
 		}
 	}
 
-	figs, err := selectFigures(*figure, opts)
+	if err := shared.StartTelemetry(); err != nil {
+		return err
+	}
+	figs, err := selectFigures(name, opts)
 	if err != nil {
 		return err
 	}
 	for _, fig := range figs {
-		fmt.Print(experiments.FormatFigure(fig))
-		fmt.Println()
+		fmt.Fprint(stdout, experiments.FormatFigure(fig))
+		fmt.Fprintln(stdout)
 	}
 	paths, err := experiments.WriteAllCSV(figs, *outDir)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("wrote %d CSV files to %s in %.1fs\n", len(paths), *outDir, time.Since(start).Seconds())
+	fmt.Fprintf(stdout, "wrote %d CSV files to %s in %.1fs\n", len(paths), *outDir, time.Since(start).Seconds())
 	return nil
-}
-
-// resolvePolicyFlags turns the -policy flag family into the policy override
-// of experiments.Options. An empty -policy returns nil (the scenario's
-// declaration, if any, stands) but rejects orphaned policy parameters;
-// "none" returns a None-kind configuration, which the experiments layer
-// treats as an explicit reset to the paper's default admission rule. The
-// guard reservation is bounded against the channel plan per run
-// (sim.Config.Validate), not here, where no plan exists yet.
-func resolvePolicyFlags(name string, guard, queueCap int, deadline float64) (*policy.Config, error) {
-	if name == "" {
-		if guard != 0 || queueCap != 0 || deadline != 0 {
-			return nil, fmt.Errorf("-guard/-ho-queue/-ho-deadline need -policy (known: %s)", strings.Join(policy.Names(), ", "))
-		}
-		return nil, nil
-	}
-	kind, err := policy.Parse(name)
-	if err != nil {
-		return nil, err
-	}
-	p := policy.Config{Kind: kind, Guard: guard, QueueCapacity: queueCap, QueueDeadlineSec: deadline}
-	if err := p.Validate(0); err != nil {
-		return nil, err
-	}
-	return &p, nil
 }
 
 // progressLine is one JSON-lines record of -progress-json: the structured
@@ -282,6 +165,7 @@ func jsonProgress(w *os.File, start time.Time) func(experiments.ProgressEvent) {
 	}
 }
 
+// selectFigures runs the generator of one lower-case figure name.
 func selectFigures(name string, opts experiments.Options) ([]experiments.Figure, error) {
 	single := func(fig experiments.Figure, err error) ([]experiments.Figure, error) {
 		if err != nil {
@@ -289,7 +173,7 @@ func selectFigures(name string, opts experiments.Options) ([]experiments.Figure,
 		}
 		return []experiments.Figure{fig}, nil
 	}
-	switch strings.ToLower(name) {
+	switch name {
 	case "all":
 		return experiments.AllFigures(opts)
 	case "fig5":

@@ -1,50 +1,23 @@
 // Command gprs-sim runs the detailed network-level GPRS simulator (hexagonal
 // cluster, TDMA-block transmission, TCP flow control) and prints the mid-cell
-// measures with 95% confidence intervals. With -replications R > 1 the run
-// fans R independent replications (seeded from disjoint substreams of -seed)
-// out across -workers CPUs and reports cross-replication intervals; the
-// merged results are bit-identical for a given (seed, replications) pair
-// regardless of the worker count. -cells selects the cluster size (7 is the
-// paper's cluster; the larger presets up to city scale — 19, 37, 61, ...,
-// 331 — are generated wrap-around hex rings) and -shards > 1 advances cell
-// groups of each replication in parallel conservative time windows — again
-// without changing the results. -partition pins the cell→group assignment
-// (kind[:groups] — locality, index-range — or an explicit JSON spec); the
-// default is the locality-aware grouping of internal/partition, and no
-// partitioning ever changes the results.
+// measures with 95% confidence intervals.
 //
-// -scenario installs a built-in heterogeneous-load workload scenario
-// (hotspot cells, load gradients, busy-hour ramps, highway corridors) and
-// -scenario-file loads one from a JSON file. Scenarios can shape mobility as
-// well as load: dwell-time multipliers per cell (fast vehicles on a highway
-// corridor, slow pedestrians in a hotspot — presets highway and
-// hotspot-pedestrian) skew the handover flow itself. One-group and sharded
-// runs stay bit-identical under every scenario, and -percell prints the
-// per-cell report that makes the spatial response visible — including the
-// handover-flow columns (HO in/out/fail), the signature of mobility
-// scenarios — with cross-replication confidence half-widths when more than
-// one replication ran. -trace replays a measured arrival series from a CSV
-// file (header time_sec,{rate_per_s|arrivals}[,payload_bytes]): the series is
-// normalized to mean rate 1 and replaces the temporal profile of whatever
-// scenario is selected, so empirical traffic can modulate any spatial shape.
+// The simulator flags it shares with gprs-experiments — replications,
+// adaptive stopping and variance reduction, cluster size, sharding and
+// partitioning, workload scenario, trace, admission policy and telemetry —
+// are bound by cmd/internal/simflags (see the README's CLI reference). Here
+// -cells defaults to the paper's seven-cell cluster and -replications to one
+// run, which uses -seed directly and reports batch-means intervals; more
+// replications report cross-replication intervals that are bit-identical for
+// a given (seed, replications) pair regardless of -workers and -shards.
 //
-// -policy selects the handover admission policy (internal/policy): "guard"
-// reserves -guard voice channels for handovers, "queue" parks blocked voice
-// handovers in a per-cell queue bounded by -ho-queue entries and -ho-deadline
-// seconds, and "retry" forwards a failed handover once to the source cell's
-// next neighbour. Scenarios can carry a policy of their own (presets
-// hotspot-guard, hotspot-hoqueue, highway-retry); an explicit -policy
-// overrides it, and -policy none restores the paper's default admission rule.
-// When a policy engaged, -percell appends its counters — guard-blocked fresh
-// calls, handovers queued/served/expired, retry forwards, and calls that
-// completed during the handover interruption.
-//
-// -precision enables the adaptive stopping rule: instead of a fixed
-// -replications count, replications are added in batches until the relative
-// confidence half-width of the -target measure drops below the threshold,
-// within [-min-reps, -max-reps]. -vr selects a variance-reduction scheme
-// (antithetic replication pairs, or the Erlang-B control-variate estimator).
-// See the README's "Statistical methodology" section for the estimators.
+// -percell prints the per-cell report that makes a scenario's spatial
+// response visible — including the handover-flow columns (HO in/out/fail),
+// the signature of mobility scenarios, and, when a policy engaged, its
+// counters (guard-blocked fresh calls, handovers queued/served/expired,
+// retry forwards, calls that completed during the handover interruption) —
+// with cross-replication confidence half-widths when more than one
+// replication ran.
 //
 // -series arms the deterministic time-series probes (internal/probe) and
 // writes one record per probe window and cell — queue depth, voice calls,
@@ -53,9 +26,7 @@
 // bit-identical with probes on or off. The format is JSONL when the path ends
 // in .jsonl, CSV otherwise; -series-dt sets the window width in simulated
 // seconds. Replicated runs emit the cross-replication merge (mean ± CI
-// half-width per window and cell). -telemetry serves live pprof and expvar
-// runtime metrics (events/sec, shard barrier waits, replication progress)
-// over HTTP for the duration of the run.
+// half-width per window and cell).
 //
 // Examples:
 //
@@ -77,12 +48,11 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
-	"strconv"
 	"strings"
 
-	"repro/internal/cluster"
-	"repro/internal/partition"
+	"repro/cmd/internal/simflags"
 	"repro/internal/policy"
 	"repro/internal/probe"
 	"repro/internal/runner"
@@ -93,14 +63,15 @@ import (
 )
 
 func main() {
-	if err := run(os.Args[1:]); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "gprs-sim:", err)
 		os.Exit(1)
 	}
 }
 
-func run(args []string) error {
+func run(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("gprs-sim", flag.ContinueOnError)
+	shared := simflags.Register(fs)
 	var (
 		modelID = fs.Int("model", 3, "traffic model (1, 2, or 3)")
 		rate    = fs.Float64("rate", 0.5, "total GSM+GPRS call arrival rate per cell (calls/s)")
@@ -110,142 +81,93 @@ func run(args []string) error {
 		warmup  = fs.Float64("warmup", 2000, "warm-up time discarded before measuring (s)")
 		measure = fs.Float64("measure", 20000, "measured simulation time (s)")
 		batches = fs.Int("batches", 10, "number of batch-means batches")
-		seed    = fs.Int64("seed", 1, "base random seed")
-		reps    = fs.Int("replications", 1, "independent replications to run and merge")
-		workers = fs.Int("workers", 0, "concurrent replications (0 = NumCPU); also sizes adaptive growth batches — pin it to reproduce -precision runs across machines")
-		cells   = fs.Int("cells", 7, "cluster size, one of "+intsLabel(cluster.PresetSizes())+" (7 is the paper's cluster, larger sizes are wrap-around hex rings)")
-		shards  = fs.Int("shards", 1, "cell groups advanced in parallel per replication (1 = one group)")
-		partFlg = fs.String("partition", "", "cell→group partitioning of -shards > 1 runs: kind[:groups] with kinds "+strings.Join(partition.Kinds(), ", ")+", or explicit JSON (default: locality, one group per shard); never affects results")
-		scnName = fs.String("scenario", "", "built-in workload scenario: "+strings.Join(scenario.Names(), ", "))
-		scnFile = fs.String("scenario-file", "", "JSON workload-scenario file (overrides -scenario)")
-		trcFile = fs.String("trace", "", "replay a measured arrival trace from this CSV file (header time_sec,{rate_per_s|arrivals}[,payload_bytes]); replaces the scenario's temporal profile")
-		polName = fs.String("policy", "", "handover admission policy (overrides the scenario's): "+strings.Join(policy.Names(), ", "))
-		guard   = fs.Int("guard", 0, "voice channels reserved for handovers (-policy guard)")
-		hoQueue = fs.Int("ho-queue", 0, "per-cell handover queue capacity (-policy queue)")
-		hoDead  = fs.Float64("ho-deadline", 0, "maximum wait of a queued handover in seconds (-policy queue)")
 		perCell = fs.Bool("percell", false, "print the per-cell report after the mid-cell measures")
-		prec    = fs.Float64("precision", 0, "adaptive stopping: relative CI half-width target for -target (0 = fixed -replications)")
-		minReps = fs.Int("min-reps", 0, "adaptive mode: replications in the first batch (0 = 4)")
-		maxReps = fs.Int("max-reps", 0, "adaptive mode: replication cap (0 = 64)")
-		vrName  = fs.String("vr", "none", "variance reduction: none, antithetic, control")
-		target  = fs.String("target", "throughput", "measure watched by -precision: "+strings.Join(runner.MeasureNames(), ", "))
 		series  = fs.String("series", "", "write per-window per-cell time series to this file (.jsonl = JSON lines, otherwise CSV)")
 		serieDT = fs.Float64("series-dt", 10, "probe window width of -series in simulated seconds")
-		telem   = fs.String("telemetry", "", "serve live pprof/expvar telemetry on this address (e.g. :6060) for the duration of the run")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if *telem != "" {
-		addr, err := probe.ServeTelemetry(*telem)
-		if err != nil {
-			return fmt.Errorf("telemetry: %w", err)
-		}
-		fmt.Fprintf(os.Stderr, "telemetry on http://%s/debug/pprof/ and /debug/vars\n", addr)
-	}
-	vr, err := runner.ParseVR(*vrName)
+	work, ro, err := shared.Bind()
 	if err != nil {
 		return err
 	}
-	targetMeasure, err := runner.ParseMeasure(*target)
-	if err != nil {
-		return err
+	if work.Cells == 0 {
+		work.Cells = 7
+	}
+	if ro.Replications == 0 {
+		ro.Replications = 1
 	}
 
-	topo, err := cluster.Preset(*cells)
-	if err != nil {
-		return err
-	}
 	cfg := sim.DefaultConfig(traffic.Model(*modelID), *rate)
-	cfg.Topology = topo
 	cfg.Channels.ReservedPDCH = *pdch
 	cfg.GPRSFraction = *gprsPct
 	cfg.EnableTCP = !*tcpOff
 	cfg.WarmupSec = *warmup
 	cfg.MeasurementSec = *measure
 	cfg.Batches = *batches
-	cfg.Seed = *seed
+	cfg.Seed = ro.BaseSeed
 	if *series != "" {
 		cfg.Probe = &probe.Spec{IntervalSec: *serieDT}
 	}
-	if *partFlg != "" {
-		spec, err := partition.ParseSpec(*partFlg)
-		if err != nil {
-			return fmt.Errorf("-partition: %w", err)
-		}
-		cfg.Partition = spec
+	prof, err := work.Apply(&cfg)
+	if err != nil {
+		return err
 	}
-
+	if err := runner.Validate(cfg, ro); err != nil {
+		return err
+	}
+	if err := shared.StartTelemetry(); err != nil {
+		return err
+	}
 	scenarioLabel := "uniform (paper baseline)"
-	if spec, ok, err := resolveScenario(*scnName, *scnFile, *trcFile); err != nil {
-		return err
-	} else if ok {
-		prof, err := scenario.Apply(&cfg, spec)
-		if err != nil {
-			return err
-		}
-		scenarioLabel = describeProfile(spec, prof, cfg.Mobility)
-	}
-	if err := applyPolicyFlags(&cfg, *polName, *guard, *hoQueue, *hoDead); err != nil {
-		return err
+	if prof != nil {
+		scenarioLabel = describeProfile(prof, cfg.Mobility)
 	}
 	policyLabel := "default admission (paper)"
 	if cfg.Policy != nil {
 		policyLabel = describePolicy(cfg.Policy)
 	}
 
-	if *reps < 1 {
-		*reps = 1
+	repsLabel := fmt.Sprintf("%d replication(s)", ro.Replications)
+	if ro.Precision > 0 {
+		repsLabel = fmt.Sprintf("adaptive replications (%.3g relative half-width on %s)", ro.Precision, ro.Target)
 	}
-	repsLabel := fmt.Sprintf("%d replication(s)", *reps)
-	if *prec > 0 {
-		repsLabel = fmt.Sprintf("adaptive replications (%.3g relative half-width on %s)", *prec, targetMeasure)
-	}
-	fmt.Printf("simulating %s, rate %.3g calls/s per cell, %d cells, %d reserved PDCHs, TCP %v, %s, scenario %s, policy %s...\n",
-		traffic.Model(*modelID), *rate, *cells, *pdch, cfg.EnableTCP, repsLabel, scenarioLabel, policyLabel)
+	fmt.Fprintf(stdout, "simulating %s, rate %.3g calls/s per cell, %d cells, %d reserved PDCHs, TCP %v, %s, scenario %s, policy %s...\n",
+		traffic.Model(*modelID), *rate, work.Cells, *pdch, cfg.EnableTCP, repsLabel, scenarioLabel, policyLabel)
 
-	if *reps <= 1 && *prec <= 0 && vr == runner.VRNone {
+	if ro.Replications == 1 && ro.Precision == 0 && ro.VR == runner.VRNone {
 		// A single run bypasses runner.Run deliberately: it uses cfg.Seed
 		// directly (not the SeedFor substream of a base seed) and reports
 		// batch-means intervals, matching the pre-replication-engine
 		// behaviour of this command.
-		res, ser, err := sim.RunOnceSeries(cfg, sim.ShardedOptions{Shards: *shards})
+		res, ser, err := sim.RunOnceSeries(cfg, sim.ShardedOptions{Shards: ro.Shards})
 		if err != nil {
 			return err
 		}
-		fmt.Print(res.String())
+		fmt.Fprint(stdout, res.String())
 		if *perCell {
-			printPerCell(res.PerCell, nil)
+			printPerCell(stdout, res.PerCell, nil)
 		}
 		if *series != "" {
 			if err := writeRunSeries(*series, ser); err != nil {
 				return err
 			}
-			fmt.Printf("series written to %s (%d windows of %gs)\n", *series, ser.Windows(), ser.IntervalSec)
+			fmt.Fprintf(stdout, "series written to %s (%d windows of %gs)\n", *series, ser.Windows(), ser.IntervalSec)
 		}
 		return nil
 	}
 
-	sum, err := runner.Run(cfg, runner.Options{
-		Replications:    *reps,
-		Workers:         *workers,
-		BaseSeed:        *seed,
-		Shards:          *shards,
-		Precision:       *prec,
-		Target:          targetMeasure,
-		MinReplications: *minReps,
-		MaxReplications: *maxReps,
-		VR:              vr,
-		Progress: func(done, total int) {
-			fmt.Fprintf(os.Stderr, "replication %d/%d done\n", done, total)
-		},
-	})
+	ro.Progress = func(done, total int) {
+		fmt.Fprintf(os.Stderr, "replication %d/%d done\n", done, total)
+	}
+	sum, err := runner.Run(cfg, ro)
 	if err != nil {
 		return err
 	}
-	fmt.Print(sum.String())
+	fmt.Fprint(stdout, sum.String())
 	if *perCell {
-		printPerCell(sum.Merged.PerCell, sum.Merged.PerCellCI)
+		printPerCell(stdout, sum.Merged.PerCell, sum.Merged.PerCellCI)
 	}
 	if *series != "" {
 		if sum.Series == nil {
@@ -254,19 +176,10 @@ func run(args []string) error {
 		if err := writeMergedSeries(*series, sum.Series); err != nil {
 			return err
 		}
-		fmt.Printf("merged series written to %s (%d windows of %gs, %d replications)\n",
+		fmt.Fprintf(stdout, "merged series written to %s (%d windows of %gs, %d replications)\n",
 			*series, len(sum.Series.Times), sum.Series.IntervalSec, sum.Series.Replications)
 	}
 	return nil
-}
-
-// intsLabel joins integer preset sizes into a "7, 19, 37, ..." flag label.
-func intsLabel(ns []int) string {
-	parts := make([]string, len(ns))
-	for i, n := range ns {
-		parts[i] = strconv.Itoa(n)
-	}
-	return strings.Join(parts, ", ")
 }
 
 // writeRunSeries writes a single-run probe series to path: JSON lines when
@@ -305,33 +218,6 @@ func writeMergedSeries(path string, s *runner.SeriesSummary) error {
 	return err
 }
 
-// applyPolicyFlags installs the -policy flag family on the configuration. An
-// empty -policy leaves whatever the scenario installed (or the paper's
-// default) untouched, but rejects orphaned policy parameters; "none"
-// explicitly restores the default admission rule. Parameter-mixing errors
-// (a -guard with -policy queue, say) surface here, before the run starts.
-func applyPolicyFlags(cfg *sim.Config, name string, guard, queueCap int, deadline float64) error {
-	if name == "" {
-		if guard != 0 || queueCap != 0 || deadline != 0 {
-			return fmt.Errorf("-guard/-ho-queue/-ho-deadline need -policy (known: %s)", strings.Join(policy.Names(), ", "))
-		}
-		return nil
-	}
-	kind, err := policy.Parse(name)
-	if err != nil {
-		return err
-	}
-	p := policy.Config{Kind: kind, Guard: guard, QueueCapacity: queueCap, QueueDeadlineSec: deadline}
-	if err := p.Validate(cfg.Channels.GSMChannels()); err != nil {
-		return err
-	}
-	cfg.Policy = nil
-	if kind != policy.None {
-		cfg.Policy = &p
-	}
-	return nil
-}
-
 // describePolicy labels the installed policy for the run header.
 func describePolicy(p *policy.Config) string {
 	switch p.Kind {
@@ -346,43 +232,10 @@ func describePolicy(p *policy.Config) string {
 	}
 }
 
-// resolveScenario turns the -scenario/-scenario-file/-trace flags into a
-// scenario spec; ok is false when none is set. A -trace CSV replaces the
-// temporal profile of whatever scenario the other flags selected (or rides on
-// the uniform spatial baseline when it is the only flag), so a measured
-// arrival series can modulate any spatial shape.
-func resolveScenario(name, file, trace string) (spec scenario.Spec, ok bool, err error) {
-	switch {
-	case file != "":
-		spec, err = scenario.Load(file)
-	case name != "":
-		spec, err = scenario.Preset(name)
-	case trace == "":
-		return scenario.Spec{}, false, nil
-	}
-	if err != nil {
-		return spec, false, err
-	}
-	if trace != "" {
-		rows, err := scenario.LoadTraceCSV(trace)
-		if err != nil {
-			return spec, false, err
-		}
-		if spec.Name == "" {
-			spec.Name = "trace"
-		}
-		spec.Temporal = scenario.Temporal{Kind: scenario.Trace, Rows: rows}
-		if err := spec.Validate(); err != nil {
-			return spec, false, err
-		}
-	}
-	return spec, true, nil
-}
-
 // describeProfile labels a compiled scenario for the run header, including
 // the dwell-multiplier range when the scenario shapes mobility.
-func describeProfile(spec scenario.Spec, prof *scenario.Profile, mob sim.MobilityProfile) string {
-	name := spec.Name
+func describeProfile(prof *scenario.Profile, mob sim.MobilityProfile) string {
+	name := prof.Name()
 	if name == "" {
 		name = "custom"
 	}
@@ -413,7 +266,7 @@ func weightRange(weights []float64) (lo, hi float64) {
 // cross-replication intervals are available (replicated runs; see
 // sim.Results.PerCellCI), every point estimate carries its confidence
 // half-width; a single run prints bare point estimates.
-func printPerCell(cells []sim.CellMeasures, cis []sim.CellIntervals) {
+func printPerCell(w io.Writer, cells []sim.CellMeasures, cis []sim.CellIntervals) {
 	// policyActive gates the six admission-policy columns: under the paper's
 	// default policy they are identically zero and would only widen the table.
 	policyActive := false
@@ -435,26 +288,26 @@ func printPerCell(cells []sim.CellMeasures, cis []sim.CellIntervals) {
 		}
 	}
 	if len(cis) != len(cells) {
-		fmt.Printf("per-cell measures:\n")
-		fmt.Printf("  %4s %8s %8s %8s %8s %10s %12s %8s %8s %8s%s\n",
+		fmt.Fprintf(w, "per-cell measures:\n")
+		fmt.Fprintf(w, "  %4s %8s %8s %8s %8s %10s %12s %8s %8s %8s%s\n",
 			"cell", "CVT", "AGS", "CDT", "queue", "GSM block", "tput (bit/s)", "HO in", "HO out", "HO fail", policyHeader)
 		for _, m := range cells {
-			fmt.Printf("  %4d %8.3f %8.3f %8.3f %8.3f %10.4f %12.0f %8d %8d %8d%s\n",
+			fmt.Fprintf(w, "  %4d %8.3f %8.3f %8.3f %8.3f %10.4f %12.0f %8d %8d %8d%s\n",
 				m.Cell, m.CarriedVoiceTraffic, m.AverageSessions, m.CarriedDataTraffic,
 				m.MeanQueueLength, m.GSMBlocking, m.ThroughputBits,
 				m.HandoversIn, m.HandoversOut, m.HandoverFailures, policyRow(m))
 		}
 		return
 	}
-	fmt.Printf("per-cell measures (± cross-replication CI half-width):\n")
-	fmt.Printf("  %4s %16s %16s %16s %16s %18s %20s %8s %8s %8s%s\n",
+	fmt.Fprintf(w, "per-cell measures (± cross-replication CI half-width):\n")
+	fmt.Fprintf(w, "  %4s %16s %16s %16s %16s %18s %20s %8s %8s %8s%s\n",
 		"cell", "CVT", "AGS", "CDT", "queue", "GSM block", "tput (bit/s)", "HO in", "HO out", "HO fail", policyHeader)
 	pm := func(v float64, iv stats.Interval) string {
 		return fmt.Sprintf("%.3f ±%.3f", v, iv.HalfWidth)
 	}
 	for i, m := range cells {
 		iv := cis[i]
-		fmt.Printf("  %4d %16s %16s %16s %16s %18s %20s %8d %8d %8d%s\n",
+		fmt.Fprintf(w, "  %4d %16s %16s %16s %16s %18s %20s %8d %8d %8d%s\n",
 			m.Cell,
 			pm(m.CarriedVoiceTraffic, iv.CarriedVoiceTraffic),
 			pm(m.AverageSessions, iv.AverageSessions),

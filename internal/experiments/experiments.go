@@ -58,11 +58,8 @@ import (
 	"sort"
 	"sync"
 
-	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/ctmc"
-	"repro/internal/partition"
-	"repro/internal/policy"
 	"repro/internal/runner"
 	"repro/internal/scenario"
 	"repro/internal/sim"
@@ -138,35 +135,22 @@ type Options struct {
 	// VR selects a variance-reduction scheme for every simulator point:
 	// antithetic replication pairs or the Erlang-B control-variate
 	// estimator (which requires the uniform baseline load — combining it
-	// with Scenario is an error).
+	// with a Workload scenario is an error).
 	VR runner.VarianceReduction
-	// Cells selects the simulated cluster size of the validation figures:
-	// 0 or 7 is the paper's seven-cell cluster; 19 and 37 select the
-	// generated wrap-around hex-ring clusters (cluster.Preset).
-	Cells int
 	// Shards, when > 1, runs every simulator replication on the sharded
 	// multi-cell engine with that many cell groups advanced in parallel,
 	// still bounded — together with all other work — by the shared limiter.
 	// Results are identical to the one-group run.
 	Shards int
-	// Partition, when non-nil, pins the cell→group assignment of the sharded
-	// engine (internal/partition) on every simulator run; nil keeps the
-	// default locality-aware grouping with one group per worker. Like Shards
-	// it never affects results, only how the run is scheduled.
-	Partition *partition.Spec
-	// Scenario, when non-nil, installs the heterogeneous-load workload
-	// scenario (hotspot cells, load gradients, busy-hour ramps — see
-	// internal/scenario) on every simulator run. The analytical model knows
-	// only the symmetric load, so under a non-uniform scenario the simulator
-	// series are the reference and the model series keep their symmetric
-	// meaning. Nil means the uniform load of the paper.
-	Scenario *scenario.Spec
-	// Policy, when non-nil, installs the handover admission policy (guard
-	// channels, queued handovers, directed retry — see internal/policy) on
-	// every simulator run, overriding any policy the Scenario declares. Nil
-	// keeps the scenario's policy, or the paper's default admission rule
-	// when the scenario declares none.
-	Policy *policy.Config
+	// Workload is installed on every simulator run (scenario.Workload.Apply):
+	// Cells selects the cluster (0 = the paper's seven cells; any
+	// cluster.Preset size up to city scale), Partition pins the cell→group
+	// assignment of the sharded engine (never affecting results), Spec
+	// installs a heterogeneous-load scenario and Policy overrides the
+	// scenario's admission policy. The analytical model knows only the
+	// symmetric load, so under a non-uniform scenario the simulator series
+	// are the reference and the model series keep their symmetric meaning.
+	Workload scenario.Workload
 	// Progress, when non-nil, receives one human-readable line per completed
 	// unit of work (a finished figure, a simulated point). Calls are
 	// serialized but may arrive in any order.
@@ -419,38 +403,18 @@ func sweep(jobs []sweepJob, o Options, extract func(core.Measures) float64, seri
 // the GPRS fraction). The summaries are bit-identical for a given (SimSeed,
 // Replications) regardless of the worker count.
 func simulateSweep(o Options, figID string, model traffic.Model, rates []float64, mutate func(*sim.Config)) ([]runner.Summary, error) {
-	var topo *cluster.Topology
-	if o.Cells != 0 {
-		var err error
-		if topo, err = cluster.Preset(o.Cells); err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrInvalidOptions, err)
-		}
-	}
 	sums := make([]runner.Summary, len(rates))
 	var mu sync.Mutex
 	done := 0
 	err := runner.ForEach(nil, len(rates), func(i int) error {
 		cfg := simConfig(o, model, rates[i])
-		cfg.Topology = topo
-		cfg.Partition = o.Partition
 		if mutate != nil {
 			mutate(&cfg)
 		}
-		if o.Scenario != nil {
-			// Compiled after mutate so the profile picks up per-figure rate
-			// splits (e.g. a mutated GPRS fraction) through BaseRates.
-			if _, err := scenario.Apply(&cfg, *o.Scenario); err != nil {
-				return fmt.Errorf("%w: %v", ErrInvalidOptions, err)
-			}
-		}
-		if o.Policy != nil {
-			// Installed after the scenario so an explicit policy option
-			// overrides the spec's declaration; the None kind explicitly
-			// restores the paper's default admission rule.
-			cfg.Policy = nil
-			if o.Policy.Kind != policy.None {
-				cfg.Policy = o.Policy
-			}
+		// Applied after mutate so a scenario picks up per-figure rate splits
+		// (e.g. a mutated GPRS fraction) through BaseRates.
+		if _, err := o.Workload.Apply(&cfg); err != nil {
+			return fmt.Errorf("%w: %v", ErrInvalidOptions, err)
 		}
 		sum, err := runner.Run(cfg, runner.Options{
 			Replications:    o.Replications,
@@ -493,6 +457,19 @@ func simulateSweep(o Options, figID string, model traffic.Model, rates []float64
 		return nil
 	})
 	return sums, err
+}
+
+// validateSim reports the error every simulated point of o would fail with —
+// the workload applied to a template point must pass runner.Validate — so a
+// figure can reject bad simulator options before it spends time on model
+// solves. o must carry the figure's own defaults (the hotspot figures' 19-cell
+// cluster, say), so the check runs on the cluster the figure simulates.
+func (o Options) validateSim() error {
+	cfg := simConfig(o, traffic.Model3, callRates(o.Fidelity)[0])
+	if _, err := o.Workload.Apply(&cfg); err != nil {
+		return fmt.Errorf("%w: %v", ErrInvalidOptions, err)
+	}
+	return runner.Validate(cfg, runner.Options{VR: o.VR})
 }
 
 // seriesFromSummaries builds a simulator series from per-point summaries: the

@@ -501,7 +501,7 @@ func TestSolveCacheSingleFlight(t *testing.T) {
 
 func TestSimulateSweepRejectsUnsupportedCells(t *testing.T) {
 	o := testOptions()
-	o.Cells = 12
+	o.Workload.Cells = 12
 	o = o.withDefaults()
 	if _, err := simulateSweep(o, "test", traffic.Model3, []float64{0.1}, nil); !errors.Is(err, ErrInvalidOptions) {
 		t.Errorf("unsupported cluster size should fail with ErrInvalidOptions, got %v", err)
@@ -513,7 +513,7 @@ func TestSimulateSweepLargeClusterSharded(t *testing.T) {
 		t.Skip("replicated simulation runs skipped in -short mode")
 	}
 	o := testOptions()
-	o.Cells = 19
+	o.Workload.Cells = 19
 	o.Shards = 2
 	o.Replications = 2
 	o.SimMeasurementSec = 300

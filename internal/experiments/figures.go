@@ -16,6 +16,9 @@ import (
 // compared against the detailed simulator (traffic model 3, 1 reserved PDCH).
 func Fig5ThresholdCalibration(o Options) (Figure, error) {
 	o = o.withDefaults()
+	if err := o.validateSim(); o.WithSimulation && err != nil {
+		return Figure{}, err
+	}
 	rates := callRates(o.Fidelity)
 	etas := []float64{0.5, 0.7, 0.9, 1.0}
 
@@ -55,6 +58,9 @@ func Fig5ThresholdCalibration(o Options) (Figure, error) {
 // PDCH).
 func Fig6Validation(o Options) ([]Figure, error) {
 	o = o.withDefaults()
+	if err := o.validateSim(); o.WithSimulation && err != nil {
+		return nil, err
+	}
 	rates := callRates(o.Fidelity)
 	fractions := []float64{0.02, 0.05, 0.10}
 
@@ -390,6 +396,10 @@ func Fig15GPRSPopulation(o Options) ([]Figure, error) {
 // schedule.
 func AllFigures(o Options) ([]Figure, error) {
 	o = o.withDefaults()
+	// Check before the other figures' model solves start alongside figs. 5-6.
+	if err := o.validateSim(); o.WithSimulation && err != nil {
+		return nil, err
+	}
 
 	single := func(f func(Options) (Figure, error)) func(Options) ([]Figure, error) {
 		return func(o Options) ([]Figure, error) {

@@ -10,6 +10,23 @@ import (
 	"repro/internal/traffic"
 )
 
+// withHotspotDefaults is withDefaults plus the defaults of HotspotFigures:
+// the 19-cell hex ring and the built-in hotspot preset.
+func (o Options) withHotspotDefaults() (Options, error) {
+	o = o.withDefaults()
+	if o.Workload.Cells == 0 {
+		o.Workload.Cells = 19
+	}
+	if o.Workload.Spec == nil {
+		s, err := scenario.Preset(scenario.Hotspot)
+		if err != nil {
+			return o, err
+		}
+		o.Workload.Spec = &s
+	}
+	return o, nil
+}
+
 // hotspotMeasure is one per-cell measure reported by the hotspot figures.
 type hotspotMeasure struct {
 	id     string
@@ -28,32 +45,23 @@ type hotspotMeasure struct {
 // mobility scenarios: dwell-time multipliers skew it independently of the
 // carried load. This is the first workload the analytical model cannot
 // express — the simulator series are the reference, so no model curves
-// appear. Options.Scenario selects the scenario (default: the built-in
-// hotspot preset) and Options.Cells the cluster (default: the 19-cell hex
-// ring, the smallest cluster with three distinct distance groups).
+// appear. Options.Workload.Spec selects the scenario (default: the built-in
+// hotspot preset) and Options.Workload.Cells the cluster (default: the
+// 19-cell hex ring, the smallest cluster with three distinct distance
+// groups).
 func HotspotFigures(o Options) ([]Figure, error) {
-	o = o.withDefaults()
-	if o.Cells == 0 {
-		o.Cells = 19
-	}
-	spec := o.Scenario
-	if spec == nil {
-		s, err := scenario.Preset(scenario.Hotspot)
-		if err != nil {
-			return nil, err
-		}
-		spec = &s
-	}
-	o.Scenario = spec
-
-	topo, err := cluster.Preset(o.Cells)
+	o, err := o.withHotspotDefaults()
 	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrInvalidOptions, err)
+		return nil, err
 	}
-	// Validate up front so a malformed spec (an out-of-range corridor axis,
-	// say) is named precisely instead of surfacing as a nil distance vector
-	// misdiagnosed below as a center/cluster mismatch.
-	if err := spec.Validate(); err != nil {
+	spec := o.Workload.Spec
+	// A malformed workload (an out-of-range corridor axis, say) is named here,
+	// not misdiagnosed below as a center/cluster mismatch.
+	if err := o.validateSim(); err != nil {
+		return nil, err
+	}
+	topo, err := cluster.Preset(o.Workload.Cells)
+	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrInvalidOptions, err)
 	}
 	center := spec.Spatial.Center
@@ -68,7 +76,7 @@ func HotspotFigures(o Options) ([]Figure, error) {
 		dist = topo.AxisDistances(center, spec.Spatial.Axis)
 	}
 	if dist == nil {
-		return nil, fmt.Errorf("%w: scenario center %d outside the %d-cell cluster", ErrInvalidOptions, center, o.Cells)
+		return nil, fmt.Errorf("%w: scenario center %d outside the %d-cell cluster", ErrInvalidOptions, center, o.Workload.Cells)
 	}
 	groups := make(map[int][]int) // hex distance -> cell ids
 	maxDist := 0
@@ -127,7 +135,7 @@ func HotspotFigures(o Options) ([]Figure, error) {
 	for _, hm := range measures {
 		fig := Figure{
 			ID:     hm.id,
-			Title:  fmt.Sprintf(hm.title, name, o.Cells),
+			Title:  fmt.Sprintf(hm.title, name, o.Workload.Cells),
 			XLabel: xlabel,
 			YLabel: hm.ylabel,
 		}

@@ -1,9 +1,11 @@
 package experiments
 
 import (
+	"errors"
 	"math"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/scenario"
 )
@@ -17,7 +19,7 @@ func TestHotspotFiguresShape(t *testing.T) {
 		t.Skip("replicated simulation runs skipped in -short mode")
 	}
 	o := testOptions()
-	o.Cells = 7
+	o.Workload.Cells = 7
 	o.Replications = 2
 	o.SimMeasurementSec = 600
 	figs, err := HotspotFigures(o)
@@ -78,14 +80,14 @@ func TestHotspotFiguresHighwayGroupsByAxis(t *testing.T) {
 		t.Skip("replicated simulation runs skipped in -short mode")
 	}
 	o := testOptions()
-	o.Cells = 7
+	o.Workload.Cells = 7
 	o.Replications = 2
 	o.SimMeasurementSec = 600
 	spec, err := scenario.Preset("highway")
 	if err != nil {
 		t.Fatal(err)
 	}
-	o.Scenario = &spec
+	o.Workload.Spec = &spec
 	figs, err := HotspotFigures(o)
 	if err != nil {
 		t.Fatal(err)
@@ -119,14 +121,14 @@ func TestHotspotFiguresHonorScenarioOption(t *testing.T) {
 		t.Skip("replicated simulation runs skipped in -short mode")
 	}
 	o := testOptions()
-	o.Cells = 7
+	o.Workload.Cells = 7
 	o.Replications = 1
 	o.SimMeasurementSec = 300
 	spec, err := scenario.Preset(scenario.Gradient)
 	if err != nil {
 		t.Fatal(err)
 	}
-	o.Scenario = &spec
+	o.Workload.Spec = &spec
 	figs, err := HotspotFigures(o)
 	if err != nil {
 		t.Fatal(err)
@@ -137,5 +139,37 @@ func TestHotspotFiguresHonorScenarioOption(t *testing.T) {
 	// edge (weight 1.5): the spatial response must flip.
 	if !(last.Y[0] < last.Y[1]) {
 		t.Errorf("gradient center should carry less voice traffic than the ring: %v", last.Y)
+	}
+}
+
+// TestSimulationCheckUsesFigureCluster checks that the up-front simulator
+// check runs on the cluster each figure simulates: a hotspot centred on cell
+// 10 is valid on the hotspot figures' 19-cell default, and the paper figures
+// reject it on their seven cells before any model solve.
+func TestSimulationCheckUsesFigureCluster(t *testing.T) {
+	spec, err := scenario.Preset(scenario.Hotspot)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec.Spatial.Center = 10
+	o := testOptions()
+	o.WithSimulation = true
+	o.Workload.Spec = &spec
+
+	h, err := o.withHotspotDefaults()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := h.validateSim(); err != nil {
+		t.Errorf("center 10 on the hotspot figures' %d-cell default: %v", h.Workload.Cells, err)
+	}
+
+	start := time.Now()
+	_, err = Fig6Validation(o)
+	if !errors.Is(err, ErrInvalidOptions) || !strings.Contains(err.Error(), "outside the 7-cell cluster") {
+		t.Errorf("Fig6Validation error %v, want the center rejected on seven cells", err)
+	}
+	if elapsed := time.Since(start); elapsed > time.Second {
+		t.Errorf("took %v to fail, want under 1s", elapsed)
 	}
 }

@@ -416,12 +416,9 @@ func Run(cfg sim.Config, o Options) (Summary, error) {
 		level = cfg.ConfidenceLevel
 	}
 
-	var control controlInfo
-	if o.VR == VRControl {
-		var err error
-		if control, err = controlForConfig(cfg); err != nil {
-			return Summary{}, err
-		}
+	control, err := check(cfg, o.VR)
+	if err != nil {
+		return Summary{}, err
 	}
 
 	// With shard-level parallelism the CPU bound moves to the leaf work —
@@ -553,6 +550,29 @@ func Run(cfg sim.Config, o Options) (Summary, error) {
 			next = o.MaxReplications
 		}
 	}
+}
+
+// Validate reports the error Run would return before simulating anything:
+// cfg must pass sim.Config.Validate, and the options' variance-reduction
+// scheme must suit it (control variates need the uniform baseline load and
+// the paper's symmetric dwell times). Run makes the same check before its
+// first replication; callers with work to do before Run — model solves,
+// say — call Validate to fail before that work.
+func Validate(cfg sim.Config, o Options) error {
+	_, err := check(cfg, o.VR)
+	return err
+}
+
+// check validates cfg for a run under vr and returns the control-variate
+// state VRControl merges with.
+func check(cfg sim.Config, vr VarianceReduction) (controlInfo, error) {
+	if err := cfg.Validate(); err != nil {
+		return controlInfo{}, err
+	}
+	if vr != VRControl {
+		return controlInfo{}, nil
+	}
+	return controlForConfig(cfg)
 }
 
 // growBatch sizes the next adaptive batch: half-again growth (at least two
