@@ -54,6 +54,10 @@ func TestRejectsBeforeRunning(t *testing.T) {
 		{[]string{"-replications", "-3"}, "-replications"},
 		{[]string{"-cells", "23"}, "unsupported cluster size 23"},
 		{[]string{"-vr", "control", "-scenario", "hotspot"}, "control variates"},
+		{[]string{"-warmup", "10", "-measure", "NaN"}, "invalid configuration: measurement time = NaN"},
+		{[]string{"-warmup", "Inf"}, "invalid configuration: warm-up time = +Inf"},
+		{[]string{"-measure", "-5"}, "invalid configuration: measurement time = -5"},
+		{[]string{"-batches", "-3"}, "invalid configuration: batches = -3"},
 	}
 	for _, tc := range tests {
 		t.Run(strings.Join(tc.args, " "), func(t *testing.T) {

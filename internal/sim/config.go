@@ -168,6 +168,10 @@ func DefaultConfig(model traffic.Model, totalCallRate float64) Config {
 	}
 }
 
+// defaultMeasurementSec is the measured simulation time of a configuration
+// that leaves MeasurementSec at zero.
+const defaultMeasurementSec = 20000
+
 func (c Config) withDefaults() Config {
 	if c.Topology == nil {
 		c.Topology = cluster.NewHexCluster()
@@ -185,11 +189,8 @@ func (c Config) withDefaults() Config {
 		voice, data := c.BaseRates()
 		c.Rates = uniformRates{voice: voice, data: data}
 	}
-	if c.WarmupSec < 0 {
-		c.WarmupSec = 0
-	}
 	if c.MeasurementSec <= 0 {
-		c.MeasurementSec = 20000
+		c.MeasurementSec = defaultMeasurementSec
 	}
 	if c.Batches <= 0 {
 		c.Batches = 10
@@ -237,6 +238,17 @@ func (c Config) Validate() error {
 	if c.HandoverLatencySec < 0 || math.IsNaN(c.HandoverLatencySec) || math.IsInf(c.HandoverLatencySec, 0) {
 		return fmt.Errorf("%w: handover latency = %v", ErrInvalidConfig, c.HandoverLatencySec)
 	}
+	for name, v := range map[string]float64{
+		"warm-up time":     c.WarmupSec,
+		"measurement time": c.MeasurementSec,
+	} {
+		if v < 0 || math.IsNaN(v) || math.IsInf(v, 0) {
+			return fmt.Errorf("%w: %s = %v", ErrInvalidConfig, name, v)
+		}
+	}
+	if c.Batches < 0 {
+		return fmt.Errorf("%w: batches = %d", ErrInvalidConfig, c.Batches)
+	}
 	if c.Streams < des.StreamDefault || c.Streams > des.StreamAntithetic {
 		return fmt.Errorf("%w: stream kind %d", ErrInvalidConfig, c.Streams)
 	}
@@ -252,8 +264,8 @@ func (c Config) Validate() error {
 	}
 	if c.Probe != nil {
 		measurement := c.MeasurementSec
-		if measurement <= 0 {
-			measurement = 20000 // withDefaults applies the same fallback
+		if measurement == 0 {
+			measurement = defaultMeasurementSec
 		}
 		if err := c.Probe.Validate(measurement); err != nil {
 			return fmt.Errorf("%w: %v", ErrInvalidConfig, err)

@@ -54,6 +54,10 @@ func TestConfigValidation(t *testing.T) {
 		{"call duration", func(c *Config) { c.GSMCallDurationSec = 0 }},
 		{"dwell", func(c *Config) { c.GSMDwellTimeSec = -1 }},
 		{"gprs dwell", func(c *Config) { c.GPRSDwellTimeSec = 0 }},
+		{"measure NaN", func(c *Config) { c.MeasurementSec = math.NaN() }},
+		{"warmup Inf", func(c *Config) { c.WarmupSec = math.Inf(1) }},
+		{"measure negative", func(c *Config) { c.MeasurementSec = -5 }},
+		{"batches negative", func(c *Config) { c.Batches = -3 }},
 	}
 	for _, m := range mutations {
 		cfg := quickConfig(true)
