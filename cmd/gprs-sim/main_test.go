@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -37,6 +38,44 @@ func TestGoldenStdout(t *testing.T) {
 			}
 			if !bytes.Equal(got.Bytes(), want) {
 				t.Errorf("stdout differs from %s.golden\n--- got ---\n%s--- want ---\n%s", tc.golden, got.Bytes(), want)
+			}
+		})
+	}
+}
+
+// TestGoldenSeries pins the bytes of the -series exports: the single-run CSV
+// and JSONL and the two-replication merged CSV and JSONL, on a queue-policy
+// hotspot run whose policy counters are non-zero. Only the file contents are
+// compared; stdout names the temporary path.
+func TestGoldenSeries(t *testing.T) {
+	base := []string{"-cells", "7", "-scenario", "hotspot", "-policy", "queue", "-ho-queue", "4",
+		"-ho-deadline", "5", "-warmup", "50", "-measure", "500", "-series-dt", "100"}
+	tests := []struct {
+		golden string
+		args   []string
+	}{
+		{"series_run.csv", nil},
+		{"series_run.jsonl", nil},
+		{"series_reps2.csv", []string{"-replications", "2"}},
+		{"series_reps2.jsonl", []string{"-replications", "2"}},
+	}
+	for _, tc := range tests {
+		t.Run(tc.golden, func(t *testing.T) {
+			want, err := os.ReadFile(filepath.Join("testdata", tc.golden+".golden"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			path := filepath.Join(t.TempDir(), "series"+filepath.Ext(tc.golden))
+			args := append(append(append([]string(nil), base...), tc.args...), "-series", path)
+			if err := run(args, io.Discard); err != nil {
+				t.Fatal(err)
+			}
+			got, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Errorf("series differs from %s.golden\n--- got ---\n%s--- want ---\n%s", tc.golden, got, want)
 			}
 		})
 	}
