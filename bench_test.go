@@ -7,13 +7,16 @@
 package repro_test
 
 import (
+	"io"
 	"testing"
 
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/ctmc"
 	"repro/internal/experiments"
+	"repro/internal/probe"
 	"repro/internal/runner"
+	"repro/internal/scenario"
 	"repro/internal/sim"
 	"repro/internal/traffic"
 )
@@ -346,5 +349,82 @@ func BenchmarkDetailedSimulator(b *testing.B) {
 			b.Fatal(err)
 		}
 		b.ReportMetric(float64(res.Events)/float64(res.SimulatedSec), "events/simulated-s")
+	}
+}
+
+// probedBenchConfig is a short 169-cell hotspot run at the quick-fidelity
+// cell size, with 25 s probe windows when probed is set.
+func probedBenchConfig(b *testing.B, probed bool) sim.Config {
+	b.Helper()
+	topo, err := cluster.Preset(169)
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := sim.DefaultConfig(traffic.Model3, 0.5)
+	cfg.Topology = topo
+	cfg.Channels.TotalChannels = 10
+	cfg.BufferSize = 30
+	cfg.MaxSessions = 10
+	cfg.WarmupSec = 50
+	cfg.MeasurementSec = 250
+	cfg.Batches = 5
+	cfg.Seed = 1
+	if probed {
+		cfg.Probe = &probe.Spec{IntervalSec: 25}
+	}
+	spec, err := scenario.Preset(scenario.Hotspot)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if _, err := scenario.Apply(&cfg, spec); err != nil {
+		b.Fatal(err)
+	}
+	return cfg
+}
+
+// BenchmarkProbedRun measures one short 169-cell hotspot run with the
+// time-series probe armed and disarmed; the difference is the cost of
+// sampling every cell at every window boundary.
+func BenchmarkProbedRun(b *testing.B) {
+	for _, probed := range []bool{true, false} {
+		name := "disarmed"
+		if probed {
+			name = "armed"
+		}
+		b.Run(name, func(b *testing.B) {
+			cfg := probedBenchConfig(b, probed)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, _, err := sim.RunOnceSeries(cfg, sim.ShardedOptions{}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkSeriesExport measures the CSV and JSONL exporters over the series
+// of one short 169-cell hotspot run, recorded once outside the timer.
+func BenchmarkSeriesExport(b *testing.B) {
+	_, ser, err := sim.RunOnceSeries(probedBenchConfig(b, true), sim.ShardedOptions{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, exp := range []struct {
+		name  string
+		write func(io.Writer, *probe.Series) error
+	}{
+		{"csv", probe.WriteCSV},
+		{"jsonl", probe.WriteJSONL},
+	} {
+		b.Run(exp.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if err := exp.write(io.Discard, ser); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

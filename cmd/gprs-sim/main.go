@@ -69,7 +69,7 @@ func main() {
 	}
 }
 
-func run(args []string, stdout io.Writer) error {
+func run(args []string, stdout io.Writer) (err error) {
 	fs := flag.NewFlagSet("gprs-sim", flag.ContinueOnError)
 	shared := simflags.Register(fs)
 	var (
@@ -117,6 +117,23 @@ func run(args []string, stdout io.Writer) error {
 	if err := runner.Validate(cfg, ro); err != nil {
 		return err
 	}
+	// Create the -series file before the run, so an unwritable path fails at
+	// once; a run that fails later leaves no partial file behind.
+	var seriesOut *os.File
+	if *series != "" {
+		if seriesOut, err = os.Create(*series); err != nil {
+			return err
+		}
+		defer func() {
+			if cerr := seriesOut.Close(); err == nil {
+				err = cerr
+			}
+			if err != nil {
+				os.Remove(*series)
+			}
+		}()
+	}
+	jsonl := strings.HasSuffix(*series, ".jsonl")
 	if err := shared.StartTelemetry(); err != nil {
 		return err
 	}
@@ -150,7 +167,7 @@ func run(args []string, stdout io.Writer) error {
 			printPerCell(stdout, res.PerCell, nil)
 		}
 		if *series != "" {
-			if err := writeRunSeries(*series, ser); err != nil {
+			if err := writeRunSeries(seriesOut, jsonl, ser); err != nil {
 				return err
 			}
 			fmt.Fprintf(stdout, "series written to %s (%d windows of %gs)\n", *series, ser.Windows(), ser.IntervalSec)
@@ -173,7 +190,7 @@ func run(args []string, stdout io.Writer) error {
 		if sum.Series == nil {
 			return fmt.Errorf("series: replications produced no mergeable time series")
 		}
-		if err := writeMergedSeries(*series, sum.Series); err != nil {
+		if err := writeMergedSeries(seriesOut, jsonl, sum.Series); err != nil {
 			return err
 		}
 		fmt.Fprintf(stdout, "merged series written to %s (%d windows of %gs, %d replications)\n",
@@ -182,40 +199,21 @@ func run(args []string, stdout io.Writer) error {
 	return nil
 }
 
-// writeRunSeries writes a single-run probe series to path: JSON lines when
-// the path ends in .jsonl, CSV otherwise.
-func writeRunSeries(path string, s *probe.Series) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
+// writeRunSeries writes a single-run probe series to w as JSON lines or CSV.
+func writeRunSeries(w io.Writer, jsonl bool, s *probe.Series) error {
+	if jsonl {
+		return probe.WriteJSONL(w, s)
 	}
-	if strings.HasSuffix(path, ".jsonl") {
-		err = probe.WriteJSONL(f, s)
-	} else {
-		err = probe.WriteCSV(f, s)
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	return err
+	return probe.WriteCSV(w, s)
 }
 
-// writeMergedSeries writes the cross-replication series merge to path: JSON
-// lines when the path ends in .jsonl, CSV otherwise.
-func writeMergedSeries(path string, s *runner.SeriesSummary) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
+// writeMergedSeries writes the cross-replication series merge to w as JSON
+// lines or CSV.
+func writeMergedSeries(w io.Writer, jsonl bool, s *runner.SeriesSummary) error {
+	if jsonl {
+		return runner.WriteSeriesJSONL(w, s)
 	}
-	if strings.HasSuffix(path, ".jsonl") {
-		err = runner.WriteSeriesJSONL(f, s)
-	} else {
-		err = runner.WriteSeriesCSV(f, s)
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	return err
+	return runner.WriteSeriesCSV(w, s)
 }
 
 // describePolicy labels the installed policy for the run header.

@@ -97,6 +97,7 @@ func TestRejectsBeforeRunning(t *testing.T) {
 		{[]string{"-warmup", "Inf"}, "invalid configuration: warm-up time = +Inf"},
 		{[]string{"-measure", "-5"}, "invalid configuration: measurement time = -5"},
 		{[]string{"-batches", "-3"}, "invalid configuration: batches = -3"},
+		{[]string{"-series", filepath.Join("testdata", "no-such-dir", "s.csv")}, "no such file or directory"},
 	}
 	for _, tc := range tests {
 		t.Run(strings.Join(tc.args, " "), func(t *testing.T) {

@@ -6,8 +6,6 @@ import (
 	"fmt"
 	"io"
 	"strconv"
-
-	"repro/internal/traffic"
 )
 
 // CSVHeader is the column layout of WriteCSV: one row per (window, cell).
@@ -32,26 +30,6 @@ func fmtFloat(v float64) string {
 	return strconv.FormatFloat(v, 'g', -1, 64)
 }
 
-// windowRates derives the per-window packet loss fraction and delivered bit
-// rate of cell c at window k from the cumulative counters.
-func windowRates(s *Series, c *CellSeries, k int) (offered, lost, delivered int64, plp, throughput float64) {
-	offered, lost, delivered = c.PacketsOffered[k], c.PacketsLost[k], c.PacketsDelivered[k]
-	start := s.StartSec
-	if k > 0 {
-		offered -= c.PacketsOffered[k-1]
-		lost -= c.PacketsLost[k-1]
-		delivered -= c.PacketsDelivered[k-1]
-		start = s.Times[k-1]
-	}
-	if offered > 0 {
-		plp = float64(lost) / float64(offered)
-	}
-	if dt := s.Times[k] - start; dt > 0 {
-		throughput = float64(delivered) * float64(traffic.PacketSizeBits) / dt
-	}
-	return offered, lost, delivered, plp, throughput
-}
-
 // WriteCSV renders the series as CSV (see CSVHeader), one row per
 // (window, cell), windows outermost.
 func WriteCSV(w io.Writer, s *Series) error {
@@ -59,51 +37,29 @@ func WriteCSV(w io.Writer, s *Series) error {
 	fmt.Fprintln(bw, CSVHeader)
 	for k := range s.Times {
 		for i := range s.Cells {
-			c := &s.Cells[i]
-			wOff, wLost, wDel, plp, tput := windowRates(s, c, k)
+			m := &s.Cells[i].Samples[k]
+			win, dt := s.Window(i, k)
 			fmt.Fprintf(bw, "%s,%d,%d,%d,%d,%s,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%s,%s,%s,%s,%d,%d,%d,%s,%s\n",
-				fmtFloat(s.Times[k]), c.Cell,
-				c.PacketsOffered[k], c.PacketsLost[k], c.PacketsDelivered[k], fmtFloat(c.DelaySumSec[k]),
-				c.GSMArrivals[k], c.GSMBlocked[k], c.GPRSArrivals[k], c.GPRSBlocked[k],
-				c.HandoversIn[k], c.HandoversOut[k], c.HandoverArrivals[k], c.HandoverFailures[k],
-				c.GuardBlocked[k], c.Queued[k], c.QueueServed[k], c.QueueExpired[k], c.Retries[k], c.TransitEnds[k],
-				c.QueueLen[k], c.VoiceCalls[k], c.Sessions[k],
-				fmtFloat(c.CarriedData[k]), fmtFloat(c.MeanQueueLen[k]),
-				fmtFloat(c.CarriedVoice[k]), fmtFloat(c.AvgSessions[k]),
-				wOff, wLost, wDel, fmtFloat(plp), fmtFloat(tput))
+				fmtFloat(s.Times[k]), s.Cells[i].Cell,
+				m.PacketsOffered, m.PacketsLost, m.PacketsDelivered, fmtFloat(m.DelaySumSec),
+				m.GSMArrivals, m.GSMBlocked, m.GPRSArrivals, m.GPRSBlocked,
+				m.HandoversIn, m.HandoversOut, m.HandoverArrivals, m.HandoverFailures,
+				m.GuardBlocked, m.Queued, m.QueueServed, m.QueueExpired, m.Retries, m.TransitEnds,
+				m.QueueLen, m.VoiceCalls, m.Sessions,
+				fmtFloat(m.CarriedData), fmtFloat(m.MeanQueueLen),
+				fmtFloat(m.CarriedVoice), fmtFloat(m.AvgSessions),
+				win.PacketsOffered, win.PacketsLost, win.PacketsDelivered,
+				fmtFloat(win.LossProbability()), fmtFloat(win.Throughput(dt)))
 		}
 	}
 	return bw.Flush()
 }
 
-// jsonCell is the per-cell payload of one WriteJSONL record.
+// jsonCell is the per-cell payload of one WriteJSONL record: the sample
+// under its export column names plus the window's loss fraction and bit rate.
 type jsonCell struct {
-	Cell             int     `json:"cell"`
-	Offered          int64   `json:"offered_cum"`
-	Lost             int64   `json:"lost_cum"`
-	Delivered        int64   `json:"delivered_cum"`
-	DelaySumSec      float64 `json:"delay_sum_cum_sec"`
-	GSMArrivals      int64   `json:"gsm_arrivals_cum"`
-	GSMBlocked       int64   `json:"gsm_blocked_cum"`
-	GPRSArrivals     int64   `json:"gprs_arrivals_cum"`
-	GPRSBlocked      int64   `json:"gprs_blocked_cum"`
-	HandoversIn      int64   `json:"ho_in_cum"`
-	HandoversOut     int64   `json:"ho_out_cum"`
-	HandoverArrivals int64   `json:"ho_arrivals_cum"`
-	HandoverFailures int64   `json:"ho_failures_cum"`
-	GuardBlocked     int64   `json:"ho_guard_blocked_cum"`
-	Queued           int64   `json:"ho_queued_cum"`
-	QueueServed      int64   `json:"ho_queue_served_cum"`
-	QueueExpired     int64   `json:"ho_queue_expired_cum"`
-	Retries          int64   `json:"ho_retries_cum"`
-	TransitEnds      int64   `json:"ho_transit_ends_cum"`
-	QueueLen         int     `json:"queue_len"`
-	VoiceCalls       int     `json:"voice_calls"`
-	Sessions         int     `json:"sessions"`
-	CarriedData      float64 `json:"carried_data_cum"`
-	MeanQueueLen     float64 `json:"mean_queue_cum"`
-	CarriedVoice     float64 `json:"carried_voice_cum"`
-	AvgSessions      float64 `json:"avg_sessions_cum"`
+	Cell int `json:"cell"`
+	Sample
 	WindowPLP        float64 `json:"window_plp"`
 	WindowThroughput float64 `json:"window_throughput_bits"`
 }
@@ -124,37 +80,12 @@ func WriteJSONL(w io.Writer, s *Series) error {
 	cells := make([]jsonCell, len(s.Cells))
 	for k := range s.Times {
 		for i := range s.Cells {
-			c := &s.Cells[i]
-			_, _, _, plp, tput := windowRates(s, c, k)
+			win, dt := s.Window(i, k)
 			cells[i] = jsonCell{
-				Cell:             c.Cell,
-				Offered:          c.PacketsOffered[k],
-				Lost:             c.PacketsLost[k],
-				Delivered:        c.PacketsDelivered[k],
-				DelaySumSec:      c.DelaySumSec[k],
-				GSMArrivals:      c.GSMArrivals[k],
-				GSMBlocked:       c.GSMBlocked[k],
-				GPRSArrivals:     c.GPRSArrivals[k],
-				GPRSBlocked:      c.GPRSBlocked[k],
-				HandoversIn:      c.HandoversIn[k],
-				HandoversOut:     c.HandoversOut[k],
-				HandoverArrivals: c.HandoverArrivals[k],
-				HandoverFailures: c.HandoverFailures[k],
-				GuardBlocked:     c.GuardBlocked[k],
-				Queued:           c.Queued[k],
-				QueueServed:      c.QueueServed[k],
-				QueueExpired:     c.QueueExpired[k],
-				Retries:          c.Retries[k],
-				TransitEnds:      c.TransitEnds[k],
-				QueueLen:         c.QueueLen[k],
-				VoiceCalls:       c.VoiceCalls[k],
-				Sessions:         c.Sessions[k],
-				CarriedData:      c.CarriedData[k],
-				MeanQueueLen:     c.MeanQueueLen[k],
-				CarriedVoice:     c.CarriedVoice[k],
-				AvgSessions:      c.AvgSessions[k],
-				WindowPLP:        plp,
-				WindowThroughput: tput,
+				Cell:             s.Cells[i].Cell,
+				Sample:           s.Cells[i].Samples[k],
+				WindowPLP:        win.LossProbability(),
+				WindowThroughput: win.Throughput(dt),
 			}
 		}
 		if err := enc.Encode(jsonWindow{TimeSec: s.Times[k], Cells: cells}); err != nil {

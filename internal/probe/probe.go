@@ -31,6 +31,17 @@
 //     probes armed or disarmed. TestGoldenResultDigestsProbesArmed pins
 //     this for every scenario preset on one group and on four shards.
 //
+// # One counter record
+//
+// CellCounters declares the per-cell flow counters once. The simulator's
+// cells each hold one value of it; warm-up, batch and probe baselines are
+// plain copies; Sub differences two copies and the ratio methods derive
+// loss probability, queueing delay, throughput and blocking from a span. A
+// Sample is the record plus the seven occupancy gauges, a CellSeries is one
+// cell's preallocated []Sample, and Series.Window gives the per-window deltas
+// that the exporters here and the cross-replication merge of internal/runner
+// both use. The JSON tags of the record are the export column names.
+//
 // The armed sampler path is allocation-free: every series buffer is
 // preallocated to its full window capacity when the probe is armed (once per
 // run), and sampling appends into that capacity. The allocation pins of
@@ -105,45 +116,53 @@ type Series struct {
 // Windows returns the number of recorded windows.
 func (s *Series) Windows() int { return len(s.Times) }
 
-// CellSeries is the per-cell slice of a Series: every field is indexed like
-// Series.Times. Counter fields are cumulative since the measurement start;
-// QueueLen, VoiceCalls and Sessions are instantaneous values at the window
-// end; the four mean gauges are cumulative time-weighted averages over
-// [Series.StartSec, window end].
+// Window returns the counter deltas of cell over window k — the difference
+// of its cumulative samples at k and k-1, or the sample itself for the first
+// window — together with the window length in simulated seconds.
+func (s *Series) Window(cell, k int) (delta CellCounters, dt float64) {
+	samples := s.Cells[cell].Samples
+	delta, start := samples[k].CellCounters, s.StartSec
+	if k > 0 {
+		delta, start = delta.Sub(samples[k-1].CellCounters), s.Times[k-1]
+	}
+	return delta, s.Times[k] - start
+}
+
+// CellSeries is the per-cell slice of a Series: Samples is indexed like
+// Series.Times.
 type CellSeries struct {
 	// Cell is the cell id.
 	Cell int
+	// Samples holds one sample per window end.
+	Samples []Sample
+}
 
-	// PacketsOffered, PacketsLost and PacketsDelivered are the cumulative
-	// BSC buffer counters.
-	PacketsOffered, PacketsLost, PacketsDelivered []int64
-	// DelaySumSec is the cumulative queueing delay of delivered packets.
-	DelaySumSec []float64
-	// GSMArrivals, GSMBlocked, GPRSArrivals and GPRSBlocked are the
-	// cumulative fresh-arrival and blocking counters.
-	GSMArrivals, GSMBlocked, GPRSArrivals, GPRSBlocked []int64
-	// HandoversIn, HandoversOut, HandoverArrivals and HandoverFailures are
-	// the cumulative handover-flow counters.
-	HandoversIn, HandoversOut, HandoverArrivals, HandoverFailures []int64
-	// GuardBlocked, Queued, QueueServed, QueueExpired, Retries and
-	// TransitEnds are the cumulative admission-policy counters (see
-	// sim.CellMeasures: GuardBlockedCalls, HandoversQueued,
-	// HandoverQueueServed, HandoverQueueExpired, HandoverRetries,
-	// HandoverTransitEnds).
-	GuardBlocked, Queued, QueueServed, QueueExpired, Retries, TransitEnds []int64
+// Sample is one cell's probe reading at a window end: the flow counters
+// cumulative since the measurement start, the instantaneous occupancy gauges
+// at the window end, and the cumulative time-weighted means over
+// [Series.StartSec, window end]. The JSON tags are the column names of the
+// series exports (see CSVHeader).
+type Sample struct {
+	CellCounters
 
 	// QueueLen, VoiceCalls and Sessions are instantaneous occupancy gauges
 	// at the window end.
-	QueueLen, VoiceCalls, Sessions []int
+	QueueLen   int `json:"queue_len"`
+	VoiceCalls int `json:"voice_calls"`
+	Sessions   int `json:"sessions"`
 
 	// CarriedData, MeanQueueLen, CarriedVoice and AvgSessions are the
 	// cumulative time-weighted means of PDCH usage, buffer occupancy, busy
 	// voice channels and active sessions.
-	CarriedData, MeanQueueLen, CarriedVoice, AvgSessions []float64
+	CarriedData  float64 `json:"carried_data_cum"`
+	MeanQueueLen float64 `json:"mean_queue_cum"`
+	CarriedVoice float64 `json:"carried_voice_cum"`
+	AvgSessions  float64 `json:"avg_sessions_cum"`
 }
 
-// NewSeries allocates a series for the given cell count with every buffer
-// preallocated to capacity windows, so recording samples never allocates.
+// NewSeries allocates a series for the given cell count with every sample
+// buffer preallocated to capacity windows, so recording samples never
+// allocates.
 func NewSeries(cells int, intervalSec, startSec float64, capacity int) *Series {
 	s := &Series{
 		IntervalSec: intervalSec,
@@ -152,33 +171,7 @@ func NewSeries(cells int, intervalSec, startSec float64, capacity int) *Series {
 		Cells:       make([]CellSeries, cells),
 	}
 	for i := range s.Cells {
-		c := &s.Cells[i]
-		c.Cell = i
-		c.PacketsOffered = make([]int64, 0, capacity)
-		c.PacketsLost = make([]int64, 0, capacity)
-		c.PacketsDelivered = make([]int64, 0, capacity)
-		c.DelaySumSec = make([]float64, 0, capacity)
-		c.GSMArrivals = make([]int64, 0, capacity)
-		c.GSMBlocked = make([]int64, 0, capacity)
-		c.GPRSArrivals = make([]int64, 0, capacity)
-		c.GPRSBlocked = make([]int64, 0, capacity)
-		c.HandoversIn = make([]int64, 0, capacity)
-		c.HandoversOut = make([]int64, 0, capacity)
-		c.HandoverArrivals = make([]int64, 0, capacity)
-		c.HandoverFailures = make([]int64, 0, capacity)
-		c.GuardBlocked = make([]int64, 0, capacity)
-		c.Queued = make([]int64, 0, capacity)
-		c.QueueServed = make([]int64, 0, capacity)
-		c.QueueExpired = make([]int64, 0, capacity)
-		c.Retries = make([]int64, 0, capacity)
-		c.TransitEnds = make([]int64, 0, capacity)
-		c.QueueLen = make([]int, 0, capacity)
-		c.VoiceCalls = make([]int, 0, capacity)
-		c.Sessions = make([]int, 0, capacity)
-		c.CarriedData = make([]float64, 0, capacity)
-		c.MeanQueueLen = make([]float64, 0, capacity)
-		c.CarriedVoice = make([]float64, 0, capacity)
-		c.AvgSessions = make([]float64, 0, capacity)
+		s.Cells[i] = CellSeries{Cell: i, Samples: make([]Sample, 0, capacity)}
 	}
 	return s
 }

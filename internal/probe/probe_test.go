@@ -56,7 +56,7 @@ func TestNewSeriesPreallocation(t *testing.T) {
 		if c.Cell != i {
 			t.Errorf("cell %d mislabeled as %d", i, c.Cell)
 		}
-		if cap(c.PacketsOffered) != capacity || cap(c.AvgSessions) != capacity || cap(c.QueueLen) != capacity {
+		if cap(c.Samples) != capacity {
 			t.Errorf("cell %d: buffers not preallocated to %d", i, capacity)
 		}
 	}
@@ -99,31 +99,25 @@ func sampleSeries() *Series {
 	s := NewSeries(1, 10, 100, 4)
 	s.Times = append(s.Times, 110, 120)
 	c := &s.Cells[0]
-	c.PacketsOffered = append(c.PacketsOffered, 4, 10)
-	c.PacketsLost = append(c.PacketsLost, 0, 3)
-	c.PacketsDelivered = append(c.PacketsDelivered, 2, 6)
-	c.DelaySumSec = append(c.DelaySumSec, 0.5, 1.25)
-	c.GSMArrivals = append(c.GSMArrivals, 1, 2)
-	c.GSMBlocked = append(c.GSMBlocked, 0, 1)
-	c.GPRSArrivals = append(c.GPRSArrivals, 1, 1)
-	c.GPRSBlocked = append(c.GPRSBlocked, 0, 0)
-	c.HandoversIn = append(c.HandoversIn, 0, 2)
-	c.HandoversOut = append(c.HandoversOut, 1, 1)
-	c.HandoverArrivals = append(c.HandoverArrivals, 0, 2)
-	c.HandoverFailures = append(c.HandoverFailures, 0, 0)
-	c.GuardBlocked = append(c.GuardBlocked, 0, 1)
-	c.Queued = append(c.Queued, 0, 2)
-	c.QueueServed = append(c.QueueServed, 0, 1)
-	c.QueueExpired = append(c.QueueExpired, 0, 1)
-	c.Retries = append(c.Retries, 0, 1)
-	c.TransitEnds = append(c.TransitEnds, 0, 1)
-	c.QueueLen = append(c.QueueLen, 3, 0)
-	c.VoiceCalls = append(c.VoiceCalls, 5, 4)
-	c.Sessions = append(c.Sessions, 1, 2)
-	c.CarriedData = append(c.CarriedData, 0.5, 0.625)
-	c.MeanQueueLen = append(c.MeanQueueLen, 2.5, 2.25)
-	c.CarriedVoice = append(c.CarriedVoice, 5.5, 5.125)
-	c.AvgSessions = append(c.AvgSessions, 1, 1.5)
+	c.Samples = append(c.Samples,
+		Sample{
+			CellCounters: CellCounters{
+				PacketsOffered: 4, PacketsDelivered: 2, DelaySumSec: 0.5,
+				GSMArrivals: 1, GPRSArrivals: 1, HandoversOut: 1,
+			},
+			QueueLen: 3, VoiceCalls: 5, Sessions: 1,
+			CarriedData: 0.5, MeanQueueLen: 2.5, CarriedVoice: 5.5, AvgSessions: 1,
+		},
+		Sample{
+			CellCounters: CellCounters{
+				PacketsOffered: 10, PacketsLost: 3, PacketsDelivered: 6, DelaySumSec: 1.25,
+				GSMArrivals: 2, GSMBlocked: 1, GPRSArrivals: 1,
+				HandoversIn: 2, HandoversOut: 1, HandoverArrivals: 2,
+				GuardBlocked: 1, Queued: 2, QueueServed: 1, QueueExpired: 1, Retries: 1, TransitEnds: 1,
+			},
+			QueueLen: 0, VoiceCalls: 4, Sessions: 2,
+			CarriedData: 0.625, MeanQueueLen: 2.25, CarriedVoice: 5.125, AvgSessions: 1.5,
+		})
 	return s
 }
 
@@ -194,7 +188,7 @@ func TestWriteJSONLWindowDerivation(t *testing.T) {
 		t.Fatalf("last record wrong: %+v", last)
 	}
 	c := last.Cells[0]
-	if c.Offered != 10 || c.WindowPLP != 0.5 {
+	if c.PacketsOffered != 10 || c.WindowPLP != 0.5 {
 		t.Errorf("cumulative/window fields wrong: %+v", c)
 	}
 	if c.GuardBlocked != 1 || c.Queued != 2 || c.QueueServed != 1 || c.QueueExpired != 1 || c.Retries != 1 || c.TransitEnds != 1 {

@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/probe"
 	"repro/internal/stats"
-	"repro/internal/traffic"
 )
 
 // SeriesSummary is the cross-replication merge of per-replication sim-time
@@ -50,7 +49,7 @@ type CellSeriesCI struct {
 
 // seriesSample extracts one windowed observable of one cell at window k from
 // a recorded series.
-type seriesSample func(s *probe.Series, c *probe.CellSeries, k int) float64
+type seriesSample func(s *probe.Series, cell, k int) float64
 
 // seriesDefs enumerates the merged series measures once, pairing each
 // extractor with the interval slice it feeds.
@@ -58,46 +57,18 @@ var seriesDefs = []struct {
 	get seriesSample
 	set func(*CellSeriesCI) *[]stats.Interval
 }{
-	{func(_ *probe.Series, c *probe.CellSeries, k int) float64 { return float64(c.QueueLen[k]) },
+	{func(s *probe.Series, cell, k int) float64 { return float64(s.Cells[cell].Samples[k].QueueLen) },
 		func(ci *CellSeriesCI) *[]stats.Interval { return &ci.QueueLen }},
-	{func(_ *probe.Series, c *probe.CellSeries, k int) float64 { return float64(c.VoiceCalls[k]) },
+	{func(s *probe.Series, cell, k int) float64 { return float64(s.Cells[cell].Samples[k].VoiceCalls) },
 		func(ci *CellSeriesCI) *[]stats.Interval { return &ci.VoiceCalls }},
-	{func(_ *probe.Series, c *probe.CellSeries, k int) float64 { return float64(c.Sessions[k]) },
+	{func(s *probe.Series, cell, k int) float64 { return float64(s.Cells[cell].Samples[k].Sessions) },
 		func(ci *CellSeriesCI) *[]stats.Interval { return &ci.Sessions }},
-	{func(_ *probe.Series, c *probe.CellSeries, k int) float64 { return c.CarriedData[k] },
+	{func(s *probe.Series, cell, k int) float64 { return s.Cells[cell].Samples[k].CarriedData },
 		func(ci *CellSeriesCI) *[]stats.Interval { return &ci.CarriedData }},
-	{windowPLP, func(ci *CellSeriesCI) *[]stats.Interval { return &ci.WindowPLP }},
-	{windowThroughput, func(ci *CellSeriesCI) *[]stats.Interval { return &ci.WindowThroughputBits }},
-}
-
-// windowPLP is the per-window packet loss fraction of cell c at window k,
-// derived from the cumulative counters.
-func windowPLP(_ *probe.Series, c *probe.CellSeries, k int) float64 {
-	offered, lost := c.PacketsOffered[k], c.PacketsLost[k]
-	if k > 0 {
-		offered -= c.PacketsOffered[k-1]
-		lost -= c.PacketsLost[k-1]
-	}
-	if offered <= 0 {
-		return 0
-	}
-	return float64(lost) / float64(offered)
-}
-
-// windowThroughput is the per-window delivered bit rate of cell c at window
-// k, derived from the cumulative counters.
-func windowThroughput(s *probe.Series, c *probe.CellSeries, k int) float64 {
-	delivered := c.PacketsDelivered[k]
-	start := s.StartSec
-	if k > 0 {
-		delivered -= c.PacketsDelivered[k-1]
-		start = s.Times[k-1]
-	}
-	dt := s.Times[k] - start
-	if dt <= 0 {
-		return 0
-	}
-	return float64(delivered) * float64(traffic.PacketSizeBits) / dt
+	{func(s *probe.Series, cell, k int) float64 { win, _ := s.Window(cell, k); return win.LossProbability() },
+		func(ci *CellSeriesCI) *[]stats.Interval { return &ci.WindowPLP }},
+	{func(s *probe.Series, cell, k int) float64 { win, dt := s.Window(cell, k); return win.Throughput(dt) },
+		func(ci *CellSeriesCI) *[]stats.Interval { return &ci.WindowThroughputBits }},
 }
 
 // MergeSeries folds per-replication series into per-window confidence
@@ -146,7 +117,7 @@ func MergeSeries(series []*probe.Series, level float64, vr VarianceReduction) *S
 			ivs := make([]stats.Interval, windows)
 			for k := 0; k < windows; k++ {
 				for i, s := range kept {
-					raw[i] = def.get(s, &s.Cells[cell], k)
+					raw[i] = def.get(s, cell, k)
 				}
 				ivs[k] = SampleInterval(effectiveSamples(raw, vr, controlInfo{}), level, vr)
 			}

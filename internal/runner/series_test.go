@@ -17,25 +17,24 @@ func syntheticSeries(q0, q1 int) *probe.Series {
 	s := probe.NewSeries(1, 10, 100, 4)
 	s.Times = append(s.Times, 110, 120)
 	c := &s.Cells[0]
-	c.PacketsOffered = append(c.PacketsOffered, 4, 10)
-	c.PacketsLost = append(c.PacketsLost, 0, 3)
-	c.PacketsDelivered = append(c.PacketsDelivered, 2, 6)
-	c.DelaySumSec = append(c.DelaySumSec, 0.5, 1.25)
-	c.GSMArrivals = append(c.GSMArrivals, 1, 2)
-	c.GSMBlocked = append(c.GSMBlocked, 0, 1)
-	c.GPRSArrivals = append(c.GPRSArrivals, 1, 1)
-	c.GPRSBlocked = append(c.GPRSBlocked, 0, 0)
-	c.HandoversIn = append(c.HandoversIn, 0, 2)
-	c.HandoversOut = append(c.HandoversOut, 1, 1)
-	c.HandoverArrivals = append(c.HandoverArrivals, 0, 2)
-	c.HandoverFailures = append(c.HandoverFailures, 0, 0)
-	c.QueueLen = append(c.QueueLen, q0, q1)
-	c.VoiceCalls = append(c.VoiceCalls, 5, 4)
-	c.Sessions = append(c.Sessions, 1, 2)
-	c.CarriedData = append(c.CarriedData, 0.5, 0.625)
-	c.MeanQueueLen = append(c.MeanQueueLen, 2.5, 2.25)
-	c.CarriedVoice = append(c.CarriedVoice, 5.5, 5.125)
-	c.AvgSessions = append(c.AvgSessions, 1, 1.5)
+	c.Samples = append(c.Samples,
+		probe.Sample{
+			CellCounters: probe.CellCounters{
+				PacketsOffered: 4, PacketsDelivered: 2, DelaySumSec: 0.5,
+				GSMArrivals: 1, GPRSArrivals: 1, HandoversOut: 1,
+			},
+			QueueLen: q0, VoiceCalls: 5, Sessions: 1,
+			CarriedData: 0.5, MeanQueueLen: 2.5, CarriedVoice: 5.5, AvgSessions: 1,
+		},
+		probe.Sample{
+			CellCounters: probe.CellCounters{
+				PacketsOffered: 10, PacketsLost: 3, PacketsDelivered: 6, DelaySumSec: 1.25,
+				GSMArrivals: 2, GSMBlocked: 1, GPRSArrivals: 1,
+				HandoversIn: 2, HandoversOut: 1, HandoverArrivals: 2,
+			},
+			QueueLen: q1, VoiceCalls: 4, Sessions: 2,
+			CarriedData: 0.625, MeanQueueLen: 2.25, CarriedVoice: 5.125, AvgSessions: 1.5,
+		})
 	return s
 }
 

@@ -5,9 +5,9 @@ import (
 
 	"repro/internal/des"
 	"repro/internal/policy"
+	"repro/internal/probe"
 	"repro/internal/radio"
 	"repro/internal/stats"
-	"repro/internal/traffic"
 )
 
 // blockPeriodSec is the duration of one RLC radio block (four TDMA frames).
@@ -171,45 +171,13 @@ type cell struct {
 	voiceOcc  stats.TimeWeighted
 	sessOcc   stats.TimeWeighted
 
-	packetsOffered   int64
-	packetsLost      int64
-	packetsDelivered int64
-	delaySum         float64
+	// counts is the cell's flow record, cumulative since the start of the
+	// run; the measurement loop, the per-cell report and the probe difference
+	// copies of it (see probe.CellCounters).
+	counts probe.CellCounters
 
-	gsmArrivals  int64
-	gsmBlocked   int64
-	gprsArrivals int64
-	gprsBlocked  int64
-	handoversIn  int64
-	handoversOut int64
-
-	// Handover-flow detail: outbound departures split by service, plus the
-	// receiving-side ledger — every handover message reaching this cell
-	// counts as an arrival, whether it is admitted (handoversIn), dropped
-	// for lack of capacity (handoverFailures), or found its voice call
-	// already completed in transit. Summed over all cells, arrivals balance
-	// departures exactly (wrap-around flow conservation) up to messages in
-	// flight across the measurement boundaries.
-	voiceHandoversOut   int64
-	sessionHandoversOut int64
-	handoverArrivals    int64
-	handoverFailures    int64
-
-	// Admission-policy detail (see internal/policy). guardBlockedCalls counts
-	// fresh calls blocked by the guard reservation alone (a free channel
-	// existed but was reserved for handovers); hoQueued/hoQueueServed/
-	// hoQueueExpired are the queued-handovers ledger (queued = served +
-	// expired on a drained run); hoRetries counts directed-retry forwards
-	// issued by this cell; hoTransitEnds counts voice handovers whose call
-	// completed during the handover interruption (no admission attempted —
-	// this fires under a nil policy too, it was just never counted before).
-	guardBlockedCalls int64
-	hoQueued          int64
-	hoQueueServed     int64
-	hoQueueExpired    int64
-	hoRetries         int64
-	hoTransitEnds     int64
-
+	// tcpTimeouts and tcpFastRecovers are whole-run totals, warm-up
+	// included, summed over every cell into Results.
 	tcpTimeouts     int64
 	tcpFastRecovers int64
 }
@@ -507,13 +475,13 @@ func (c *cell) armDwell(base float64, fire func(), set func(des.Handle)) {
 
 // gsmArrival handles a fresh GSM voice call.
 func (c *cell) gsmArrival() {
-	c.gsmArrivals++
+	c.counts.GSMArrivals++
 	if !c.canAdmitNewVoice() {
-		c.gsmBlocked++
+		c.counts.GSMBlocked++
 		if c.canAdmitVoice() {
 			// A channel was free but reserved for handovers: the block is
 			// attributable to the guard policy alone.
-			c.guardBlockedCalls++
+			c.counts.GuardBlocked++
 		}
 		return
 	}
@@ -527,9 +495,9 @@ func (c *cell) gsmArrival() {
 
 // gprsArrival handles a fresh GPRS session request.
 func (c *cell) gprsArrival() {
-	c.gprsArrivals++
+	c.counts.GPRSArrivals++
 	if !c.canAdmitSession() {
-		c.gprsBlocked++
+		c.counts.GPRSBlocked++
 		return
 	}
 	c.addSession()
@@ -543,7 +511,7 @@ func (c *cell) gprsArrival() {
 // the source-cell-resident model. Every message counts as a handover arrival
 // regardless of the outcome, so flow-conservation accounting balances.
 func (c *cell) receive(m handoverMsg) {
-	c.handoverArrivals++
+	c.counts.HandoverArrivals++
 	switch m.kind {
 	case hoVoice:
 		c.receiveVoice(m)
@@ -559,18 +527,18 @@ func (c *cell) receive(m handoverMsg) {
 func (c *cell) receiveVoice(m handoverMsg) {
 	st := m.voice
 	if st.departAt <= c.now() {
-		c.hoTransitEnds++
+		c.counts.TransitEnds++
 		return // the call ended during the handover interruption
 	}
 	if !c.canAdmitVoice() {
 		if c.refuseVoiceHandover(m) {
 			return
 		}
-		c.handoverFailures++
+		c.counts.HandoverFailures++
 		return // handover failure: the call is dropped
 	}
 	c.addVoice()
-	c.handoversIn++
+	c.counts.HandoversIn++
 	call := c.getVoice()
 	call.departAt = st.departAt
 	call.departEv = c.schedule(st.departAt-c.now(), call.departFn)
@@ -605,7 +573,7 @@ func (c *cell) refuseVoiceHandover(m handoverMsg) bool {
 		}
 		q.expireEv = c.schedule(wait, q.expireFn)
 		c.hoQueue = append(c.hoQueue, q)
-		c.hoQueued++
+		c.counts.Queued++
 		return true
 	case policy.DirectedRetry:
 		if m.retried {
@@ -628,8 +596,8 @@ func (c *cell) expireQueued(q *queuedHO) {
 			break
 		}
 	}
-	c.hoQueueExpired++
-	c.handoverFailures++
+	c.counts.QueueExpired++
+	c.counts.HandoverFailures++
 	c.putQHO(q)
 }
 
@@ -649,13 +617,13 @@ func (c *cell) serveQueuedHandover() {
 	departAt := q.departAt
 	c.putQHO(q)
 	if departAt <= c.now() {
-		c.hoQueueExpired++
-		c.handoverFailures++
+		c.counts.QueueExpired++
+		c.counts.HandoverFailures++
 		return
 	}
-	c.hoQueueServed++
+	c.counts.QueueServed++
 	c.addVoice()
-	c.handoversIn++
+	c.counts.HandoversIn++
 	call := c.getVoice()
 	call.departAt = departAt
 	call.departEv = c.schedule(departAt-c.now(), call.departFn)
@@ -681,12 +649,12 @@ func (c *cell) forwardRetry(m handoverMsg) {
 		}
 	}
 	target := topo.NeighborAt(m.src, (idx+1)%deg)
-	c.hoRetries++
-	c.handoversOut++
+	c.counts.Retries++
+	c.counts.HandoversOut++
 	if m.kind == hoVoice {
-		c.voiceHandoversOut++
+		c.counts.VoiceHandoversOut++
 	} else {
-		c.sessionHandoversOut++
+		c.counts.SessionHandoversOut++
 	}
 	m.retried = true
 	c.env.dispatch(c, target, m)
@@ -702,11 +670,11 @@ func (c *cell) receiveSession(m handoverMsg) {
 			c.forwardRetry(m)
 			return
 		}
-		c.handoverFailures++
+		c.counts.HandoverFailures++
 		return // handover failure: the session is forced to terminate
 	}
 	c.addSession()
-	c.handoversIn++
+	c.counts.HandoversIn++
 	s := c.getSession()
 	s.active = true
 	s.packetCallsLeft = st.packetCallsLeft
@@ -785,9 +753,9 @@ func (c *cell) queuedPackets() int { return len(c.buffer) - c.deliverPending }
 // enqueue offers a packet to the BSC buffer. It returns false when the buffer
 // is full; the dropped packet is recycled, so callers must not retain it.
 func (c *cell) enqueue(p *packet) bool {
-	c.packetsOffered++
+	c.counts.PacketsOffered++
 	if c.queuedPackets() >= c.env.conf().BufferSize {
-		c.packetsLost++
+		c.counts.PacketsLost++
 		c.putPacket(p)
 		return false
 	}
@@ -880,82 +848,24 @@ func (c *cell) radioTick() {
 // generation check keeps a packet from waking a connection record that was
 // recycled (and re-acquired) while the packet drained through the buffer.
 func (c *cell) deliver(p *packet) {
-	c.packetsDelivered++
-	c.delaySum += c.now() - p.enqueuedAt
+	c.counts.PacketsDelivered++
+	c.counts.DelaySumSec += c.now() - p.enqueuedAt
 	if p.conn != nil && p.conn.gen == p.connGen {
 		p.conn.onDelivered(p.seq)
 	}
 }
 
 // resetBatchWindow restarts the time-weighted statistics and returns a
-// snapshot of the cumulative counters. It runs exactly once per cell, at the
+// copy of the cumulative counters. It runs exactly once per cell, at the
 // end of the warm-up: batch boundaries difference the running integrals
 // (finishBatch) instead of restarting the gauges, so every gauge measures the
 // whole window uninterrupted.
-func (c *cell) resetBatchWindow(now float64) cellSnapshot {
-	snap := c.snapshot()
+func (c *cell) resetBatchWindow(now float64) probe.CellCounters {
 	c.pdchUsage.Start(now, c.pdchUsage.Current())
 	c.queueLen.Start(now, float64(len(c.buffer)))
 	c.voiceOcc.Start(now, float64(c.voiceCalls))
 	c.sessOcc.Start(now, float64(c.sessions))
-	return snap
-}
-
-// cellSnapshot is a copy of the cumulative mid-cell counters at a batch
-// boundary.
-type cellSnapshot struct {
-	offered   int64
-	lost      int64
-	delivered int64
-	delaySum  float64
-
-	gsmArrivals  int64
-	gsmBlocked   int64
-	gprsArrivals int64
-	gprsBlocked  int64
-}
-
-// hoSnapshot is a copy of the cumulative handover-flow counters of one cell,
-// taken at the measurement-window start so the per-cell report covers the
-// measured period only.
-type hoSnapshot struct {
-	in, out            int64
-	voiceOut, sessOut  int64
-	arrivals, failures int64
-
-	guardBlocked            int64
-	queued, served, expired int64
-	retries, transitEnds    int64
-}
-
-func (c *cell) handoverSnapshot() hoSnapshot {
-	return hoSnapshot{
-		in:           c.handoversIn,
-		out:          c.handoversOut,
-		voiceOut:     c.voiceHandoversOut,
-		sessOut:      c.sessionHandoversOut,
-		arrivals:     c.handoverArrivals,
-		failures:     c.handoverFailures,
-		guardBlocked: c.guardBlockedCalls,
-		queued:       c.hoQueued,
-		served:       c.hoQueueServed,
-		expired:      c.hoQueueExpired,
-		retries:      c.hoRetries,
-		transitEnds:  c.hoTransitEnds,
-	}
-}
-
-func (c *cell) snapshot() cellSnapshot {
-	return cellSnapshot{
-		offered:      c.packetsOffered,
-		lost:         c.packetsLost,
-		delivered:    c.packetsDelivered,
-		delaySum:     c.delaySum,
-		gsmArrivals:  c.gsmArrivals,
-		gsmBlocked:   c.gsmBlocked,
-		gprsArrivals: c.gprsArrivals,
-		gprsBlocked:  c.gprsBlocked,
-	}
+	return c.counts
 }
 
 // gaugeIntegrals is a snapshot of the four time-weighted accumulators'
@@ -975,15 +885,15 @@ func (c *cell) gaugeIntegralsAt(t float64) gaugeIntegrals {
 }
 
 // finishBatch computes the per-batch observations between the previous
-// counter snapshot / integral snapshot and now and feeds them into the
+// counter copy / integral snapshot and now and feeds them into the
 // accumulator, returning the integral snapshot at now for the next batch.
 // Differencing integrals (instead of restarting the gauges every batch)
 // leaves the accumulators untouched across the whole measurement period, so
 // the terminal gauge means — and the armed probe's reads of them — are exact
 // window averages, bit-identical between the per-cell report and the probe
 // series.
-func (c *cell) finishBatch(acc *batchAccumulator, prev cellSnapshot, prevInt gaugeIntegrals, now, batchDur float64) gaugeIntegrals {
-	cur := c.snapshot()
+func (c *cell) finishBatch(acc *batchAccumulator, prev probe.CellCounters, prevInt gaugeIntegrals, now, batchDur float64) gaugeIntegrals {
+	d := c.counts.Sub(prev)
 	curInt := c.gaugeIntegralsAt(now)
 
 	acc.cdt.AddBatchMean((curInt.pdch - prevInt.pdch) / batchDur)
@@ -992,40 +902,16 @@ func (c *cell) finishBatch(acc *batchAccumulator, prev cellSnapshot, prevInt gau
 	acc.ags.AddBatchMean(ags)
 	acc.cvt.AddBatchMean((curInt.voice - prevInt.voice) / batchDur)
 
-	offered := cur.offered - prev.offered
-	lost := cur.lost - prev.lost
-	delivered := cur.delivered - prev.delivered
-	delay := cur.delaySum - prev.delaySum
-
-	if offered > 0 {
-		acc.plp.AddBatchMean(float64(lost) / float64(offered))
-	} else {
-		acc.plp.AddBatchMean(0)
-	}
-	if delivered > 0 {
-		acc.qd.AddBatchMean(delay / float64(delivered))
-	} else {
-		acc.qd.AddBatchMean(0)
-	}
-	throughput := float64(delivered) * float64(traffic.PacketSizeBits) / batchDur
+	acc.plp.AddBatchMean(d.LossProbability())
+	acc.qd.AddBatchMean(d.QueueingDelay())
+	throughput := d.Throughput(batchDur)
 	acc.throughput.AddBatchMean(throughput)
 	if ags > 0 {
 		acc.atu.AddBatchMean(throughput / ags)
 	} else {
 		acc.atu.AddBatchMean(0)
 	}
-
-	gsmArr := cur.gsmArrivals - prev.gsmArrivals
-	if gsmArr > 0 {
-		acc.gsmBlock.AddBatchMean(float64(cur.gsmBlocked-prev.gsmBlocked) / float64(gsmArr))
-	} else {
-		acc.gsmBlock.AddBatchMean(0)
-	}
-	gprsArr := cur.gprsArrivals - prev.gprsArrivals
-	if gprsArr > 0 {
-		acc.gprsBlock.AddBatchMean(float64(cur.gprsBlocked-prev.gprsBlocked) / float64(gprsArr))
-	} else {
-		acc.gprsBlock.AddBatchMean(0)
-	}
+	acc.gsmBlock.AddBatchMean(d.GSMBlocking())
+	acc.gprsBlock.AddBatchMean(d.GPRSBlocking())
 	return curInt
 }

@@ -11,8 +11,7 @@ type probeState struct {
 	cells  []*cell
 	series *probe.Series
 
-	counts []cellSnapshot
-	hos    []hoSnapshot
+	base []probe.CellCounters
 
 	startT, finalT float64
 	armed, done    bool
@@ -24,7 +23,7 @@ func newProbeState(spec probe.Spec, cells []*cell) *probeState {
 }
 
 // arm begins recording at the measurement start, right after the model's
-// resetBatchWindow restarted every cell's gauges there: it snapshots every
+// resetBatchWindow restarted every cell's gauges there: it copies every
 // cell's cumulative counters as baselines and preallocates the full series so
 // sampling never allocates. start and final must be the measurement-loop's
 // exact warm-up end and final batch end.
@@ -32,11 +31,9 @@ func (ps *probeState) arm(start, final float64) {
 	ps.startT, ps.finalT = start, final
 	capacity := ps.spec.Windows(final - start)
 	ps.series = probe.NewSeries(len(ps.cells), ps.spec.IntervalSec, start, capacity)
-	ps.counts = make([]cellSnapshot, len(ps.cells))
-	ps.hos = make([]hoSnapshot, len(ps.cells))
+	ps.base = make([]probe.CellCounters, len(ps.cells))
 	for i, c := range ps.cells {
-		ps.counts[i] = c.snapshot()
-		ps.hos[i] = c.handoverSnapshot()
+		ps.base[i] = c.counts
 	}
 	ps.armed = true
 }
@@ -66,33 +63,16 @@ func (ps *probeState) sample(t float64) {
 	s.Times = append(s.Times, t)
 	for i, c := range ps.cells {
 		cs := &s.Cells[i]
-		base := &ps.counts[i]
-		hbase := &ps.hos[i]
-		cs.PacketsOffered = append(cs.PacketsOffered, c.packetsOffered-base.offered)
-		cs.PacketsLost = append(cs.PacketsLost, c.packetsLost-base.lost)
-		cs.PacketsDelivered = append(cs.PacketsDelivered, c.packetsDelivered-base.delivered)
-		cs.DelaySumSec = append(cs.DelaySumSec, c.delaySum-base.delaySum)
-		cs.GSMArrivals = append(cs.GSMArrivals, c.gsmArrivals-base.gsmArrivals)
-		cs.GSMBlocked = append(cs.GSMBlocked, c.gsmBlocked-base.gsmBlocked)
-		cs.GPRSArrivals = append(cs.GPRSArrivals, c.gprsArrivals-base.gprsArrivals)
-		cs.GPRSBlocked = append(cs.GPRSBlocked, c.gprsBlocked-base.gprsBlocked)
-		cs.HandoversIn = append(cs.HandoversIn, c.handoversIn-hbase.in)
-		cs.HandoversOut = append(cs.HandoversOut, c.handoversOut-hbase.out)
-		cs.HandoverArrivals = append(cs.HandoverArrivals, c.handoverArrivals-hbase.arrivals)
-		cs.HandoverFailures = append(cs.HandoverFailures, c.handoverFailures-hbase.failures)
-		cs.GuardBlocked = append(cs.GuardBlocked, c.guardBlockedCalls-hbase.guardBlocked)
-		cs.Queued = append(cs.Queued, c.hoQueued-hbase.queued)
-		cs.QueueServed = append(cs.QueueServed, c.hoQueueServed-hbase.served)
-		cs.QueueExpired = append(cs.QueueExpired, c.hoQueueExpired-hbase.expired)
-		cs.Retries = append(cs.Retries, c.hoRetries-hbase.retries)
-		cs.TransitEnds = append(cs.TransitEnds, c.hoTransitEnds-hbase.transitEnds)
-		cs.QueueLen = append(cs.QueueLen, c.queuedPackets())
-		cs.VoiceCalls = append(cs.VoiceCalls, c.voiceCalls)
-		cs.Sessions = append(cs.Sessions, c.sessions)
-		cs.CarriedData = append(cs.CarriedData, c.pdchUsage.MeanAt(t))
-		cs.MeanQueueLen = append(cs.MeanQueueLen, c.queueLen.MeanAt(t))
-		cs.CarriedVoice = append(cs.CarriedVoice, c.voiceOcc.MeanAt(t))
-		cs.AvgSessions = append(cs.AvgSessions, c.sessOcc.MeanAt(t))
+		cs.Samples = append(cs.Samples, probe.Sample{
+			CellCounters: c.counts.Sub(ps.base[i]),
+			QueueLen:     c.queuedPackets(),
+			VoiceCalls:   c.voiceCalls,
+			Sessions:     c.sessions,
+			CarriedData:  c.pdchUsage.MeanAt(t),
+			MeanQueueLen: c.queueLen.MeanAt(t),
+			CarriedVoice: c.voiceOcc.MeanAt(t),
+			AvgSessions:  c.sessOcc.MeanAt(t),
+		})
 	}
 	ps.sampled++
 	if t == ps.finalT {

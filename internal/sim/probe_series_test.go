@@ -104,13 +104,13 @@ func TestSeriesMatchesPerCellAggregates(t *testing.T) {
 			name      string
 			got, want int64
 		}{
-			{"offered", cs.PacketsOffered[k], m.PacketsOffered},
-			{"lost", cs.PacketsLost[k], m.PacketsLost},
-			{"delivered", cs.PacketsDelivered[k], m.PacketsDelivered},
-			{"ho in", cs.HandoversIn[k], m.HandoversIn},
-			{"ho out", cs.HandoversOut[k], m.HandoversOut},
-			{"ho arrivals", cs.HandoverArrivals[k], m.HandoverArrivals},
-			{"ho failures", cs.HandoverFailures[k], m.HandoverFailures},
+			{"offered", cs.Samples[k].PacketsOffered, m.PacketsOffered},
+			{"lost", cs.Samples[k].PacketsLost, m.PacketsLost},
+			{"delivered", cs.Samples[k].PacketsDelivered, m.PacketsDelivered},
+			{"ho in", cs.Samples[k].HandoversIn, m.HandoversIn},
+			{"ho out", cs.Samples[k].HandoversOut, m.HandoversOut},
+			{"ho arrivals", cs.Samples[k].HandoverArrivals, m.HandoverArrivals},
+			{"ho failures", cs.Samples[k].HandoverFailures, m.HandoverFailures},
 		}
 		for _, c := range ints {
 			if c.got != c.want {
@@ -118,21 +118,21 @@ func TestSeriesMatchesPerCellAggregates(t *testing.T) {
 			}
 		}
 		// Derived ratios: same operands, same expressions as perCellMeasures.
-		if cs.PacketsOffered[k] > 0 {
-			if plp := float64(cs.PacketsLost[k]) / float64(cs.PacketsOffered[k]); plp != m.PacketLossProbability {
+		if cs.Samples[k].PacketsOffered > 0 {
+			if plp := float64(cs.Samples[k].PacketsLost) / float64(cs.Samples[k].PacketsOffered); plp != m.PacketLossProbability {
 				t.Errorf("cell %d: series PLP %v, want %v", i, plp, m.PacketLossProbability)
 			}
 		}
-		if cs.PacketsDelivered[k] > 0 {
-			if d := cs.DelaySumSec[k] / float64(cs.PacketsDelivered[k]); d != m.QueueingDelaySec {
+		if cs.Samples[k].PacketsDelivered > 0 {
+			if d := cs.Samples[k].DelaySumSec / float64(cs.Samples[k].PacketsDelivered); d != m.QueueingDelaySec {
 				t.Errorf("cell %d: series delay %v, want %v", i, d, m.QueueingDelaySec)
 			}
 		}
-		if tput := float64(cs.PacketsDelivered[k]) * float64(traffic.PacketSizeBits) / cfg.MeasurementSec; tput != m.ThroughputBits {
+		if tput := float64(cs.Samples[k].PacketsDelivered) * float64(traffic.PacketSizeBits) / cfg.MeasurementSec; tput != m.ThroughputBits {
 			t.Errorf("cell %d: series throughput %v, want %v", i, tput, m.ThroughputBits)
 		}
-		if cs.GSMArrivals[k] > 0 {
-			if b := float64(cs.GSMBlocked[k]) / float64(cs.GSMArrivals[k]); b != m.GSMBlocking {
+		if cs.Samples[k].GSMArrivals > 0 {
+			if b := float64(cs.Samples[k].GSMBlocked) / float64(cs.Samples[k].GSMArrivals); b != m.GSMBlocking {
 				t.Errorf("cell %d: series GSM blocking %v, want %v", i, b, m.GSMBlocking)
 			}
 		}
@@ -140,10 +140,10 @@ func TestSeriesMatchesPerCellAggregates(t *testing.T) {
 			name      string
 			got, want float64
 		}{
-			{"CDT", cs.CarriedData[k], m.CarriedDataTraffic},
-			{"queue", cs.MeanQueueLen[k], m.MeanQueueLength},
-			{"CVT", cs.CarriedVoice[k], m.CarriedVoiceTraffic},
-			{"AGS", cs.AvgSessions[k], m.AverageSessions},
+			{"CDT", cs.Samples[k].CarriedData, m.CarriedDataTraffic},
+			{"queue", cs.Samples[k].MeanQueueLen, m.MeanQueueLength},
+			{"CVT", cs.Samples[k].CarriedVoice, m.CarriedVoiceTraffic},
+			{"AGS", cs.Samples[k].AvgSessions, m.AverageSessions},
 		}
 		// Every cell keeps one gauge window for the whole measurement (batch
 		// boundaries and probe windows only read running integrals), so the
@@ -157,7 +157,7 @@ func TestSeriesMatchesPerCellAggregates(t *testing.T) {
 		}
 		// Cumulative counters never decrease across windows.
 		for w := 1; w <= k; w++ {
-			if cs.PacketsOffered[w] < cs.PacketsOffered[w-1] || cs.HandoversOut[w] < cs.HandoversOut[w-1] {
+			if cs.Samples[w].PacketsOffered < cs.Samples[w-1].PacketsOffered || cs.Samples[w].HandoversOut < cs.Samples[w-1].HandoversOut {
 				t.Fatalf("cell %d: cumulative counters decreased at window %d", i, w)
 			}
 		}
@@ -213,7 +213,7 @@ func checkSeriesCSVRoundTrip(t *testing.T, ser *probe.Series, res sim.Results, m
 		if got := mustInt(row, "ho_arrivals_cum"); got != m.HandoverArrivals {
 			t.Errorf("cell %d: CSV ho_arrivals_cum %d, want %d", i, got, m.HandoverArrivals)
 		}
-		if got := mustFloat(row, "carried_voice_cum"); got != ser.Cells[i].CarriedVoice[ser.Windows()-1] {
+		if got := mustFloat(row, "carried_voice_cum"); got != ser.Cells[i].Samples[ser.Windows()-1].CarriedVoice {
 			t.Errorf("cell %d: CSV carried_voice_cum did not round-trip: %v", i, got)
 		}
 		wantTput := float64(m.PacketsDelivered) * float64(traffic.PacketSizeBits) / measurementSec

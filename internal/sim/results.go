@@ -40,16 +40,21 @@ type Results struct {
 	// MeanQueueLength is the time-average BSC buffer occupancy in packets.
 	MeanQueueLength stats.Interval
 
-	// Totals over the whole measurement period (mid cell).
+	// Totals over the whole measurement period (mid cell), read off
+	// PerCell[cluster.MidCell].
 	PacketsOffered   int64
 	PacketsLost      int64
 	PacketsDelivered int64
 	HandoversIn      int64
 	HandoversOut     int64
-	TCPTimeouts      int64
-	TCPFastRecovers  int64
-	SimulatedSec     float64
-	Events           uint64
+	// TCP retransmission-timeout and fast-recovery totals of the whole run,
+	// warm-up included, summed over every cell of the cluster.
+	TCPTimeouts     int64
+	TCPFastRecovers int64
+	// SimulatedSec is the measurement period in simulated seconds; Events
+	// counts every event the run processed, warm-up included.
+	SimulatedSec float64
+	Events       uint64
 
 	// PerCell reports every cell of the cluster over the measurement period,
 	// indexed by cell id. Under the paper's symmetric load all cells are

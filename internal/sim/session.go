@@ -61,8 +61,8 @@ func (v *voiceCall) handover() {
 		v.scheduleHandover()
 		return
 	}
-	c.handoversOut++
-	c.voiceHandoversOut++
+	c.counts.HandoversOut++
+	c.counts.VoiceHandoversOut++
 	c.removeVoice()
 	v.departEv.Cancel()
 	departAt := v.departAt
@@ -207,8 +207,8 @@ func (s *session) handover() {
 		s.scheduleHandover()
 		return
 	}
-	c.handoversOut++
-	c.sessionHandoversOut++
+	c.counts.HandoversOut++
+	c.counts.SessionHandoversOut++
 	st := s.captureState()
 	s.end()
 	c.env.dispatch(c, target, handoverMsg{kind: hoSession, sess: st, src: c.id})

@@ -3,7 +3,6 @@ package sim
 import (
 	"repro/internal/cluster"
 	"repro/internal/probe"
-	"repro/internal/traffic"
 )
 
 // collectRun drives an engine through warm-up and the batched measurement
@@ -25,18 +24,15 @@ func collectRun(e *Sharded) (Results, error) {
 	acc := newBatchAccumulator(cfg.ConfidenceLevel)
 
 	// Reset every cell's measurement window at the end of the warm-up and
-	// keep its counter snapshot, so each cell — not only the mid cell — can
+	// keep a copy of its counters, so each cell — not only the mid cell — can
 	// be reported over the measurement period. Resetting touches only the
 	// time-weighted statistics, never the event flow, so mid-cell results are
 	// unaffected by the extra bookkeeping.
-	perStart := make([]cellSnapshot, len(cells))
-	hoStart := make([]hoSnapshot, len(cells))
+	start := make([]probe.CellCounters, len(cells))
 	for i, c := range cells {
-		perStart[i] = c.resetBatchWindow(warmupEnd)
-		hoStart[i] = c.handoverSnapshot()
+		start[i] = c.resetBatchWindow(warmupEnd)
 	}
-	snap := perStart[cluster.MidCell]
-	warmStart := snap
+	snap := start[cluster.MidCell]
 
 	batchDur := cfg.MeasurementSec / float64(cfg.Batches)
 	// Arm the probe (when configured) over the exact measurement span the
@@ -59,26 +55,23 @@ func collectRun(e *Sharded) (Results, error) {
 			return Results{}, err
 		}
 		snapInt = mid.finishBatch(acc, snap, snapInt, end, batchDur)
-		snap = mid.snapshot()
+		snap = mid.counts
 		cur := e.processedEvents()
 		probe.Default.EventsProcessed.Add(cur - lastEvents)
 		lastEvents = cur
 	}
 
 	res := acc.results()
-	final := mid.snapshot()
-	res.PacketsOffered = final.offered - warmStart.offered
-	res.PacketsLost = final.lost - warmStart.lost
-	res.PacketsDelivered = final.delivered - warmStart.delivered
-	res.HandoversIn = mid.handoversIn - hoStart[cluster.MidCell].in
-	res.HandoversOut = mid.handoversOut - hoStart[cluster.MidCell].out
+	res.PerCell = perCellMeasures(cells, start, end, cfg.MeasurementSec)
+	m := res.PerCell[cluster.MidCell]
+	res.PacketsOffered, res.PacketsLost, res.PacketsDelivered = m.PacketsOffered, m.PacketsLost, m.PacketsDelivered
+	res.HandoversIn, res.HandoversOut = m.HandoversIn, m.HandoversOut
 	for _, c := range cells {
 		res.TCPTimeouts += c.tcpTimeouts
 		res.TCPFastRecovers += c.tcpFastRecovers
 	}
 	res.SimulatedSec = cfg.MeasurementSec
 	res.Events = e.processedEvents()
-	res.PerCell = perCellMeasures(cells, perStart, hoStart, end, cfg.MeasurementSec)
 
 	hits, misses, free := e.poolStats()
 	probe.Default.PoolHits.Add(hits)
@@ -95,46 +88,40 @@ func collectRun(e *Sharded) (Results, error) {
 // integrals. The probe's final window reads the same accumulators at the same
 // time with the non-mutating MeanAt, so it reproduces these gauge values bit
 // for bit (pinned by TestSeriesMatchesPerCellAggregates).
-func perCellMeasures(cells []*cell, perStart []cellSnapshot,
-	hoStart []hoSnapshot, end, measurementSec float64) []CellMeasures {
+func perCellMeasures(cells []*cell, start []probe.CellCounters, end, measurementSec float64) []CellMeasures {
 	out := make([]CellMeasures, len(cells))
 	for i, c := range cells {
-		cur := c.snapshot()
-		m := CellMeasures{Cell: i}
-		m.CarriedDataTraffic = c.pdchUsage.Mean(end)
-		m.MeanQueueLength = c.queueLen.Mean(end)
-		m.CarriedVoiceTraffic = c.voiceOcc.Mean(end)
-		m.AverageSessions = c.sessOcc.Mean(end)
-		m.PacketsOffered = cur.offered - perStart[i].offered
-		m.PacketsLost = cur.lost - perStart[i].lost
-		m.PacketsDelivered = cur.delivered - perStart[i].delivered
-		ho := c.handoverSnapshot()
-		m.HandoversIn = ho.in - hoStart[i].in
-		m.HandoversOut = ho.out - hoStart[i].out
-		m.VoiceHandoversOut = ho.voiceOut - hoStart[i].voiceOut
-		m.SessionHandoversOut = ho.sessOut - hoStart[i].sessOut
-		m.HandoverArrivals = ho.arrivals - hoStart[i].arrivals
-		m.HandoverFailures = ho.failures - hoStart[i].failures
-		m.GuardBlockedCalls = ho.guardBlocked - hoStart[i].guardBlocked
-		m.HandoversQueued = ho.queued - hoStart[i].queued
-		m.HandoverQueueServed = ho.served - hoStart[i].served
-		m.HandoverQueueExpired = ho.expired - hoStart[i].expired
-		m.HandoverRetries = ho.retries - hoStart[i].retries
-		m.HandoverTransitEnds = ho.transitEnds - hoStart[i].transitEnds
-		if m.PacketsOffered > 0 {
-			m.PacketLossProbability = float64(m.PacketsLost) / float64(m.PacketsOffered)
+		d := c.counts.Sub(start[i])
+		out[i] = CellMeasures{
+			Cell:                  i,
+			CarriedDataTraffic:    c.pdchUsage.Mean(end),
+			MeanQueueLength:       c.queueLen.Mean(end),
+			CarriedVoiceTraffic:   c.voiceOcc.Mean(end),
+			AverageSessions:       c.sessOcc.Mean(end),
+			PacketLossProbability: d.LossProbability(),
+			QueueingDelaySec:      d.QueueingDelay(),
+			ThroughputBits:        d.Throughput(measurementSec),
+			GSMBlocking:           d.GSMBlocking(),
+			GPRSBlocking:          d.GPRSBlocking(),
+
+			PacketsOffered:   d.PacketsOffered,
+			PacketsLost:      d.PacketsLost,
+			PacketsDelivered: d.PacketsDelivered,
+			HandoversIn:      d.HandoversIn,
+			HandoversOut:     d.HandoversOut,
+
+			VoiceHandoversOut:   d.VoiceHandoversOut,
+			SessionHandoversOut: d.SessionHandoversOut,
+			HandoverArrivals:    d.HandoverArrivals,
+			HandoverFailures:    d.HandoverFailures,
+
+			GuardBlockedCalls:    d.GuardBlocked,
+			HandoversQueued:      d.Queued,
+			HandoverQueueServed:  d.QueueServed,
+			HandoverQueueExpired: d.QueueExpired,
+			HandoverRetries:      d.Retries,
+			HandoverTransitEnds:  d.TransitEnds,
 		}
-		if m.PacketsDelivered > 0 {
-			m.QueueingDelaySec = (cur.delaySum - perStart[i].delaySum) / float64(m.PacketsDelivered)
-		}
-		m.ThroughputBits = float64(m.PacketsDelivered) * float64(traffic.PacketSizeBits) / measurementSec
-		if gsmArr := cur.gsmArrivals - perStart[i].gsmArrivals; gsmArr > 0 {
-			m.GSMBlocking = float64(cur.gsmBlocked-perStart[i].gsmBlocked) / float64(gsmArr)
-		}
-		if gprsArr := cur.gprsArrivals - perStart[i].gprsArrivals; gprsArr > 0 {
-			m.GPRSBlocking = float64(cur.gprsBlocked-perStart[i].gprsBlocked) / float64(gprsArr)
-		}
-		out[i] = m
 	}
 	return out
 }
