@@ -25,6 +25,7 @@ func TestGoldenStdout(t *testing.T) {
 		{"sim_policy_none_reps2", []string{"-scenario", "hotspot-guard", "-policy", "none", "-replications", "2", "-percell"}},
 		{"sim_highway_sharded", []string{"-cells", "19", "-scenario", "highway", "-shards", "2", "-partition", "locality:2", "-percell"}},
 		{"sim_adaptive_antithetic", []string{"-precision", "0.5", "-min-reps", "2", "-max-reps", "4", "-workers", "1", "-vr", "antithetic"}},
+		{"sim_hotspot_queue_reps2", []string{"-cells", "7", "-scenario", "hotspot", "-policy", "queue", "-ho-queue", "4", "-ho-deadline", "5", "-replications", "2", "-percell"}},
 	}
 	for _, tc := range tests {
 		t.Run(tc.golden, func(t *testing.T) {
