@@ -2,7 +2,7 @@
 // GPRS simulator and the experiment harness: online moment estimation
 // (Welford), time-weighted averages for state variables such as queue lengths
 // and channel occupancy, batch-means confidence intervals for steady-state
-// simulation output, Student-t quantiles, and simple histograms.
+// simulation output, and Student-t quantiles.
 //
 // The package corresponds to the statistics facilities of the CSIM library
 // used by the paper's authors; it is a from-scratch, stdlib-only substitute.
