@@ -4,8 +4,10 @@ import "repro/internal/traffic"
 
 // CellCounters is the flow record of one cell: every counter the simulator
 // keeps per cell, counted over some span — since the start of the run in the
-// simulator's cells, since the measurement start in a Sample, and over one
-// window or batch after Sub. The JSON tags are the column names of the series
+// simulator's cells, since the measurement start in a Sample, over one
+// window or batch after Sub, and over several replications after Add. It is
+// embedded in sim.CellMeasures and, for the mid cell, in sim.Results. The
+// JSON tags are the column names of the series
 // exports (see CSVHeader); the two service splits of HandoversOut are not
 // exported there.
 type CellCounters struct {
@@ -35,17 +37,23 @@ type CellCounters struct {
 	HandoverArrivals int64 `json:"ho_arrivals_cum"`
 	HandoverFailures int64 `json:"ho_failures_cum"`
 
-	// GuardBlocked, Queued, QueueServed, QueueExpired, Retries and
-	// TransitEnds are the admission-policy counters (see
-	// sim.CellMeasures: GuardBlockedCalls, HandoversQueued,
-	// HandoverQueueServed, HandoverQueueExpired, HandoverRetries,
-	// HandoverTransitEnds).
-	GuardBlocked int64 `json:"ho_guard_blocked_cum"`
-	Queued       int64 `json:"ho_queued_cum"`
-	QueueServed  int64 `json:"ho_queue_served_cum"`
-	QueueExpired int64 `json:"ho_queue_expired_cum"`
-	Retries      int64 `json:"ho_retries_cum"`
-	TransitEnds  int64 `json:"ho_transit_ends_cum"`
+	// GuardBlockedCalls, HandoversQueued, HandoverQueueServed,
+	// HandoverQueueExpired, HandoverRetries and HandoverTransitEnds are the
+	// admission-policy counters (see internal/policy). GuardBlockedCalls
+	// counts fresh calls blocked by the guard reservation alone (a channel
+	// was free but reserved for handovers). The queue counters are the
+	// queued-handovers ledger: on a drained run, queued = served + expired
+	// exactly, and expired handovers are also counted in HandoverFailures.
+	// HandoverRetries counts directed-retry forwards issued by the cell,
+	// which are also counted in HandoversOut. HandoverTransitEnds counts
+	// voice handovers whose call completed during the handover
+	// interruption; this happens under a nil policy too.
+	GuardBlockedCalls    int64 `json:"ho_guard_blocked_cum"`
+	HandoversQueued      int64 `json:"ho_queued_cum"`
+	HandoverQueueServed  int64 `json:"ho_queue_served_cum"`
+	HandoverQueueExpired int64 `json:"ho_queue_expired_cum"`
+	HandoverRetries      int64 `json:"ho_retries_cum"`
+	HandoverTransitEnds  int64 `json:"ho_transit_ends_cum"`
 
 	// VoiceHandoversOut and SessionHandoversOut split HandoversOut by
 	// service.
@@ -53,30 +61,38 @@ type CellCounters struct {
 	SessionHandoversOut int64 `json:"-"`
 }
 
+// Add returns the field-by-field sum of c and d, as when merging the
+// counters of several replications.
+func (c CellCounters) Add(d CellCounters) CellCounters { return c.plus(d, 1) }
+
 // Sub returns the counts accumulated between base and c, an earlier copy of
 // the same cell's counters.
-func (c CellCounters) Sub(base CellCounters) CellCounters {
+func (c CellCounters) Sub(base CellCounters) CellCounters { return c.plus(base, -1) }
+
+// plus returns c + sign*d field by field; it is the one list of counters Add
+// and Sub share. For the float counter, a + (-1)*b equals a - b exactly.
+func (c CellCounters) plus(d CellCounters, sign int64) CellCounters {
 	return CellCounters{
-		PacketsOffered:      c.PacketsOffered - base.PacketsOffered,
-		PacketsLost:         c.PacketsLost - base.PacketsLost,
-		PacketsDelivered:    c.PacketsDelivered - base.PacketsDelivered,
-		DelaySumSec:         c.DelaySumSec - base.DelaySumSec,
-		GSMArrivals:         c.GSMArrivals - base.GSMArrivals,
-		GSMBlocked:          c.GSMBlocked - base.GSMBlocked,
-		GPRSArrivals:        c.GPRSArrivals - base.GPRSArrivals,
-		GPRSBlocked:         c.GPRSBlocked - base.GPRSBlocked,
-		HandoversIn:         c.HandoversIn - base.HandoversIn,
-		HandoversOut:        c.HandoversOut - base.HandoversOut,
-		HandoverArrivals:    c.HandoverArrivals - base.HandoverArrivals,
-		HandoverFailures:    c.HandoverFailures - base.HandoverFailures,
-		GuardBlocked:        c.GuardBlocked - base.GuardBlocked,
-		Queued:              c.Queued - base.Queued,
-		QueueServed:         c.QueueServed - base.QueueServed,
-		QueueExpired:        c.QueueExpired - base.QueueExpired,
-		Retries:             c.Retries - base.Retries,
-		TransitEnds:         c.TransitEnds - base.TransitEnds,
-		VoiceHandoversOut:   c.VoiceHandoversOut - base.VoiceHandoversOut,
-		SessionHandoversOut: c.SessionHandoversOut - base.SessionHandoversOut,
+		PacketsOffered:       c.PacketsOffered + sign*d.PacketsOffered,
+		PacketsLost:          c.PacketsLost + sign*d.PacketsLost,
+		PacketsDelivered:     c.PacketsDelivered + sign*d.PacketsDelivered,
+		DelaySumSec:          c.DelaySumSec + float64(sign)*d.DelaySumSec,
+		GSMArrivals:          c.GSMArrivals + sign*d.GSMArrivals,
+		GSMBlocked:           c.GSMBlocked + sign*d.GSMBlocked,
+		GPRSArrivals:         c.GPRSArrivals + sign*d.GPRSArrivals,
+		GPRSBlocked:          c.GPRSBlocked + sign*d.GPRSBlocked,
+		HandoversIn:          c.HandoversIn + sign*d.HandoversIn,
+		HandoversOut:         c.HandoversOut + sign*d.HandoversOut,
+		HandoverArrivals:     c.HandoverArrivals + sign*d.HandoverArrivals,
+		HandoverFailures:     c.HandoverFailures + sign*d.HandoverFailures,
+		GuardBlockedCalls:    c.GuardBlockedCalls + sign*d.GuardBlockedCalls,
+		HandoversQueued:      c.HandoversQueued + sign*d.HandoversQueued,
+		HandoverQueueServed:  c.HandoverQueueServed + sign*d.HandoverQueueServed,
+		HandoverQueueExpired: c.HandoverQueueExpired + sign*d.HandoverQueueExpired,
+		HandoverRetries:      c.HandoverRetries + sign*d.HandoverRetries,
+		HandoverTransitEnds:  c.HandoverTransitEnds + sign*d.HandoverTransitEnds,
+		VoiceHandoversOut:    c.VoiceHandoversOut + sign*d.VoiceHandoversOut,
+		SessionHandoversOut:  c.SessionHandoversOut + sign*d.SessionHandoversOut,
 	}
 }
 

@@ -44,7 +44,8 @@ func WriteCSV(w io.Writer, s *Series) error {
 				m.PacketsOffered, m.PacketsLost, m.PacketsDelivered, fmtFloat(m.DelaySumSec),
 				m.GSMArrivals, m.GSMBlocked, m.GPRSArrivals, m.GPRSBlocked,
 				m.HandoversIn, m.HandoversOut, m.HandoverArrivals, m.HandoverFailures,
-				m.GuardBlocked, m.Queued, m.QueueServed, m.QueueExpired, m.Retries, m.TransitEnds,
+				m.GuardBlockedCalls, m.HandoversQueued, m.HandoverQueueServed,
+				m.HandoverQueueExpired, m.HandoverRetries, m.HandoverTransitEnds,
 				m.QueueLen, m.VoiceCalls, m.Sessions,
 				fmtFloat(m.CarriedData), fmtFloat(m.MeanQueueLen),
 				fmtFloat(m.CarriedVoice), fmtFloat(m.AvgSessions),

@@ -113,7 +113,7 @@ func sampleSeries() *Series {
 				PacketsOffered: 10, PacketsLost: 3, PacketsDelivered: 6, DelaySumSec: 1.25,
 				GSMArrivals: 2, GSMBlocked: 1, GPRSArrivals: 1,
 				HandoversIn: 2, HandoversOut: 1, HandoverArrivals: 2,
-				GuardBlocked: 1, Queued: 2, QueueServed: 1, QueueExpired: 1, Retries: 1, TransitEnds: 1,
+				GuardBlockedCalls: 1, HandoversQueued: 2, HandoverQueueServed: 1, HandoverQueueExpired: 1, HandoverRetries: 1, HandoverTransitEnds: 1,
 			},
 			QueueLen: 0, VoiceCalls: 4, Sessions: 2,
 			CarriedData: 0.625, MeanQueueLen: 2.25, CarriedVoice: 5.125, AvgSessions: 1.5,
@@ -191,7 +191,7 @@ func TestWriteJSONLWindowDerivation(t *testing.T) {
 	if c.PacketsOffered != 10 || c.WindowPLP != 0.5 {
 		t.Errorf("cumulative/window fields wrong: %+v", c)
 	}
-	if c.GuardBlocked != 1 || c.Queued != 2 || c.QueueServed != 1 || c.QueueExpired != 1 || c.Retries != 1 || c.TransitEnds != 1 {
+	if c.GuardBlockedCalls != 1 || c.HandoversQueued != 2 || c.HandoverQueueServed != 1 || c.HandoverQueueExpired != 1 || c.HandoverRetries != 1 || c.HandoverTransitEnds != 1 {
 		t.Errorf("policy counter fields wrong: %+v", c)
 	}
 	if want := 4 * float64(traffic.PacketSizeBits) / 10; c.WindowThroughput != want {

@@ -294,29 +294,30 @@ func relHalfWidth(iv stats.Interval) float64 {
 }
 
 // cellIntervalDefs pairs every point-estimate field of sim.CellMeasures with
-// the interval field of sim.CellIntervals it feeds, so the per-cell interval
-// merge iterates one table instead of hand-copying nine fields.
+// the interval field of sim.CellIntervals it feeds, so the per-cell average
+// (mergePerCell) and interval (perCellIntervals) merges iterate one table
+// instead of hand-copying nine fields.
 var cellIntervalDefs = []struct {
-	get func(*sim.CellMeasures) float64
+	get func(*sim.CellMeasures) *float64
 	set func(*sim.CellIntervals) *stats.Interval
 }{
-	{func(m *sim.CellMeasures) float64 { return m.CarriedDataTraffic },
+	{func(m *sim.CellMeasures) *float64 { return &m.CarriedDataTraffic },
 		func(iv *sim.CellIntervals) *stats.Interval { return &iv.CarriedDataTraffic }},
-	{func(m *sim.CellMeasures) float64 { return m.MeanQueueLength },
+	{func(m *sim.CellMeasures) *float64 { return &m.MeanQueueLength },
 		func(iv *sim.CellIntervals) *stats.Interval { return &iv.MeanQueueLength }},
-	{func(m *sim.CellMeasures) float64 { return m.CarriedVoiceTraffic },
+	{func(m *sim.CellMeasures) *float64 { return &m.CarriedVoiceTraffic },
 		func(iv *sim.CellIntervals) *stats.Interval { return &iv.CarriedVoiceTraffic }},
-	{func(m *sim.CellMeasures) float64 { return m.AverageSessions },
+	{func(m *sim.CellMeasures) *float64 { return &m.AverageSessions },
 		func(iv *sim.CellIntervals) *stats.Interval { return &iv.AverageSessions }},
-	{func(m *sim.CellMeasures) float64 { return m.PacketLossProbability },
+	{func(m *sim.CellMeasures) *float64 { return &m.PacketLossProbability },
 		func(iv *sim.CellIntervals) *stats.Interval { return &iv.PacketLossProbability }},
-	{func(m *sim.CellMeasures) float64 { return m.QueueingDelaySec },
+	{func(m *sim.CellMeasures) *float64 { return &m.QueueingDelaySec },
 		func(iv *sim.CellIntervals) *stats.Interval { return &iv.QueueingDelaySec }},
-	{func(m *sim.CellMeasures) float64 { return m.ThroughputBits },
+	{func(m *sim.CellMeasures) *float64 { return &m.ThroughputBits },
 		func(iv *sim.CellIntervals) *stats.Interval { return &iv.ThroughputBits }},
-	{func(m *sim.CellMeasures) float64 { return m.GSMBlocking },
+	{func(m *sim.CellMeasures) *float64 { return &m.GSMBlocking },
 		func(iv *sim.CellIntervals) *stats.Interval { return &iv.GSMBlocking }},
-	{func(m *sim.CellMeasures) float64 { return m.GPRSBlocking },
+	{func(m *sim.CellMeasures) *float64 { return &m.GPRSBlocking },
 		func(iv *sim.CellIntervals) *stats.Interval { return &iv.GPRSBlocking }},
 }
 
@@ -340,7 +341,7 @@ func perCellIntervals(results []sim.Results, level float64, vr VarianceReduction
 		out[cell].Cell = results[0].PerCell[cell].Cell
 		for _, def := range cellIntervalDefs {
 			for i := range results {
-				raw[i] = def.get(&results[i].PerCell[cell])
+				raw[i] = *def.get(&results[i].PerCell[cell])
 			}
 			*def.set(&out[cell]) = SampleInterval(effectiveSamples(raw, vr, ci), level, vr)
 		}

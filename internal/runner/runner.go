@@ -72,6 +72,7 @@ package runner
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 	"strings"
 	"sync"
@@ -105,8 +106,9 @@ type Options struct {
 	// BaseSeed is the seed the per-replication substreams are derived from;
 	// the zero value means 1.
 	BaseSeed int64
-	// ConfidenceLevel is the level of the merged intervals; the zero value
-	// means the simulator configuration's level (0.95 if that is unset too).
+	// ConfidenceLevel is the level of the merged intervals, in (0, 1); the
+	// zero value means the simulator configuration's level (0.95 if that is
+	// unset too).
 	ConfidenceLevel float64
 	// Progress, when non-nil, is called after every completed replication
 	// with the number of finished replications and the total planned so far
@@ -315,22 +317,10 @@ func mergeVR(results []sim.Results, level float64, vr VarianceReduction, ci cont
 		}
 		*def.get(&s.Merged) = SampleInterval(effectiveSamples(raw, vr, ci), level, vr)
 	}
-	s.Merged.PacketsOffered = 0
-	s.Merged.PacketsLost = 0
-	s.Merged.PacketsDelivered = 0
-	s.Merged.HandoversIn = 0
-	s.Merged.HandoversOut = 0
-	s.Merged.TCPTimeouts = 0
-	s.Merged.TCPFastRecovers = 0
-	s.Merged.SimulatedSec = 0
-	s.Merged.Events = 0
-	for i := range results {
+	// Totals are summed onto the first replication's.
+	for i := 1; i < len(results); i++ {
 		r := &results[i]
-		s.Merged.PacketsOffered += r.PacketsOffered
-		s.Merged.PacketsLost += r.PacketsLost
-		s.Merged.PacketsDelivered += r.PacketsDelivered
-		s.Merged.HandoversIn += r.HandoversIn
-		s.Merged.HandoversOut += r.HandoversOut
+		s.Merged.CellCounters = s.Merged.CellCounters.Add(r.CellCounters)
 		s.Merged.TCPTimeouts += r.TCPTimeouts
 		s.Merged.TCPFastRecovers += r.TCPFastRecovers
 		s.Merged.SimulatedSec += r.SimulatedSec
@@ -358,32 +348,13 @@ func mergePerCell(results []sim.Results) []sim.CellMeasures {
 	inv := 1 / float64(len(results))
 	for i := range merged {
 		m := sim.CellMeasures{Cell: results[0].PerCell[i].Cell}
-		for _, r := range results {
-			c := r.PerCell[i]
-			m.CarriedDataTraffic += c.CarriedDataTraffic * inv
-			m.MeanQueueLength += c.MeanQueueLength * inv
-			m.CarriedVoiceTraffic += c.CarriedVoiceTraffic * inv
-			m.AverageSessions += c.AverageSessions * inv
-			m.PacketLossProbability += c.PacketLossProbability * inv
-			m.QueueingDelaySec += c.QueueingDelaySec * inv
-			m.ThroughputBits += c.ThroughputBits * inv
-			m.GSMBlocking += c.GSMBlocking * inv
-			m.GPRSBlocking += c.GPRSBlocking * inv
-			m.PacketsOffered += c.PacketsOffered
-			m.PacketsLost += c.PacketsLost
-			m.PacketsDelivered += c.PacketsDelivered
-			m.HandoversIn += c.HandoversIn
-			m.HandoversOut += c.HandoversOut
-			m.VoiceHandoversOut += c.VoiceHandoversOut
-			m.SessionHandoversOut += c.SessionHandoversOut
-			m.HandoverArrivals += c.HandoverArrivals
-			m.HandoverFailures += c.HandoverFailures
-			m.GuardBlockedCalls += c.GuardBlockedCalls
-			m.HandoversQueued += c.HandoversQueued
-			m.HandoverQueueServed += c.HandoverQueueServed
-			m.HandoverQueueExpired += c.HandoverQueueExpired
-			m.HandoverRetries += c.HandoverRetries
-			m.HandoverTransitEnds += c.HandoverTransitEnds
+		for k := range results {
+			m.CellCounters = m.CellCounters.Add(results[k].PerCell[i].CellCounters)
+		}
+		for _, def := range cellIntervalDefs {
+			for k := range results {
+				*def.get(&m) += *def.get(&results[k].PerCell[i]) * inv
+			}
 		}
 		merged[i] = m
 	}
@@ -411,14 +382,13 @@ func Run(cfg sim.Config, o Options) (Summary, error) {
 		lim = NewLimiter(o.Workers)
 	}
 
-	level := o.ConfidenceLevel
-	if level <= 0 || level >= 1 {
-		level = cfg.ConfidenceLevel
-	}
-
-	control, err := check(cfg, o.VR)
+	control, err := check(cfg, o)
 	if err != nil {
 		return Summary{}, err
+	}
+	level := o.ConfidenceLevel
+	if level == 0 {
+		level = cfg.ConfidenceLevel
 	}
 
 	// With shard-level parallelism the CPU bound moves to the leaf work —
@@ -553,23 +523,27 @@ func Run(cfg sim.Config, o Options) (Summary, error) {
 }
 
 // Validate reports the error Run would return before simulating anything:
-// cfg must pass sim.Config.Validate, and the options' variance-reduction
-// scheme must suit it (control variates need the uniform baseline load and
-// the paper's symmetric dwell times). Run makes the same check before its
-// first replication; callers with work to do before Run — model solves,
-// say — call Validate to fail before that work.
+// cfg must pass sim.Config.Validate, the options' confidence level must be
+// zero or in (0, 1), and their variance-reduction scheme must suit cfg
+// (control variates need the uniform baseline load and the paper's symmetric
+// dwell times). Run makes the same check before its first replication;
+// callers with work to do before Run — model solves, say — call Validate to
+// fail before that work.
 func Validate(cfg sim.Config, o Options) error {
-	_, err := check(cfg, o.VR)
+	_, err := check(cfg, o)
 	return err
 }
 
-// check validates cfg for a run under vr and returns the control-variate
-// state VRControl merges with.
-func check(cfg sim.Config, vr VarianceReduction) (controlInfo, error) {
+// check validates cfg and o for a run and returns the control-variate state
+// VRControl merges with.
+func check(cfg sim.Config, o Options) (controlInfo, error) {
 	if err := cfg.Validate(); err != nil {
 		return controlInfo{}, err
 	}
-	if vr != VRControl {
+	if l := o.ConfidenceLevel; l < 0 || l >= 1 || math.IsNaN(l) {
+		return controlInfo{}, fmt.Errorf("%w: confidence level %v", sim.ErrInvalidConfig, l)
+	}
+	if o.VR != VRControl {
 		return controlInfo{}, nil
 	}
 	return controlForConfig(cfg)

@@ -1,6 +1,7 @@
 package runner
 
 import (
+	"errors"
 	"math"
 	"reflect"
 	"sync"
@@ -8,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/probe"
 	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/traffic"
@@ -225,6 +227,21 @@ func TestRunRejectsInvalidConfig(t *testing.T) {
 	}
 }
 
+// TestRunRejectsBadConfidenceLevel checks that Validate and Run reject an
+// options level outside (0, 1) before simulating anything, instead of
+// reporting intervals at that level or silently replacing it.
+func TestRunRejectsBadConfidenceLevel(t *testing.T) {
+	for _, level := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), 1, 1.5, -2} {
+		o := Options{Replications: 2, ConfidenceLevel: level}
+		if err := Validate(testConfig(), o); !errors.Is(err, sim.ErrInvalidConfig) {
+			t.Errorf("level %v: Validate = %v, want sim.ErrInvalidConfig", level, err)
+		}
+		if _, err := Run(testConfig(), o); !errors.Is(err, sim.ErrInvalidConfig) {
+			t.Errorf("level %v: Run = %v, want sim.ErrInvalidConfig", level, err)
+		}
+	}
+}
+
 func TestRunProgressCallback(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation runs skipped in -short mode")
@@ -256,7 +273,7 @@ func TestMergeAgainstManualWelford(t *testing.T) {
 	mk := func(cdt float64, offered int64) sim.Results {
 		return sim.Results{
 			CarriedDataTraffic: stats.Interval{Mean: cdt, HalfWidth: 0.5, Level: 0.95, Batches: 10},
-			PacketsOffered:     offered,
+			CellCounters:       probe.CellCounters{PacketsOffered: offered},
 			SimulatedSec:       100,
 			Events:             1000,
 		}
@@ -280,10 +297,12 @@ func TestMergeAgainstManualWelford(t *testing.T) {
 	}
 }
 
-// TestMergeCoversEveryResultsField guards the hand-maintained field lists in
-// Merge: every stats.Interval field of sim.Results must appear in the
-// measures accessor table, and every numeric total must be summed. Adding a
-// field to sim.Results without extending Merge fails here instead of
+// TestMergeCoversEveryResultsField guards the field lists of Merge: every
+// stats.Interval field of sim.Results must appear in the measures accessor
+// table, and every numeric total — each leaf of the embedded mid-cell
+// probe.CellCounters included — must be summed, as must every counter of a
+// per-cell report. Adding a field to sim.Results or probe.CellCounters
+// without extending Merge (or CellCounters.Add) fails here instead of
 // silently producing a wrong merged summary.
 func TestMergeCoversEveryResultsField(t *testing.T) {
 	var r sim.Results
@@ -291,66 +310,104 @@ func TestMergeCoversEveryResultsField(t *testing.T) {
 	for _, def := range measureDefs {
 		covered[reflect.ValueOf(def.get(&r)).Pointer()] = true
 	}
-
-	one := sim.Results{}
-	ov := reflect.ValueOf(&one).Elem()
-	intervalType := reflect.TypeOf(stats.Interval{})
 	rv := reflect.ValueOf(&r).Elem()
 	for i := 0; i < rv.NumField(); i++ {
-		f := rv.Type().Field(i)
-		if f.Type == intervalType {
-			if !covered[rv.Field(i).Addr().Pointer()] {
-				t.Errorf("interval field %s is missing from the measures table", f.Name)
-			}
-			continue
-		}
-		switch fv := ov.Field(i); fv.Kind() {
-		case reflect.Int64:
-			fv.SetInt(1)
-		case reflect.Uint64:
-			fv.SetUint(1)
-		case reflect.Float64:
-			fv.SetFloat(1)
-		case reflect.Slice:
-			if f.Name != "PerCell" && f.Name != "PerCellCI" {
-				t.Errorf("slice field %s has no merge rule — extend Merge and this test", f.Name)
-			}
-			// PerCell merging is covered below and by TestMergePerCell;
-			// PerCellCI by TestPerCellIntervals.
-		default:
-			t.Errorf("field %s has unhandled kind %v — extend Merge and this test", f.Name, fv.Kind())
+		if f := rv.Type().Field(i); f.Type == reflect.TypeOf(stats.Interval{}) && !covered[rv.Field(i).Addr().Pointer()] {
+			t.Errorf("interval field %s is missing from the measures table", f.Name)
 		}
 	}
-	one.PerCell = []sim.CellMeasures{{Cell: 0, CarriedVoiceTraffic: 1, PacketsOffered: 1}}
+
+	one := sim.Results{PerCell: []sim.CellMeasures{{Cell: 0, CarriedVoiceTraffic: 1}}}
+	totals := resultTotals(t, reflect.ValueOf(&one).Elem())
+	for name := range counterNames() {
+		if _, ok := totals[name]; !ok {
+			t.Errorf("counter %s of the embedded probe.CellCounters is not a total of sim.Results", name)
+		}
+	}
+	for _, fv := range totals {
+		setOne(fv)
+	}
+	for _, fv := range resultTotals(t, reflect.ValueOf(&one.PerCell[0].CellCounters).Elem()) {
+		setOne(fv)
+	}
 
 	merged := Merge([]sim.Results{one, one}, 0.95).Merged
-	mv := reflect.ValueOf(merged)
-	for i := 0; i < mv.NumField(); i++ {
-		f := mv.Type().Field(i)
-		if f.Type == intervalType {
-			continue
-		}
-		var got float64
-		switch fv := mv.Field(i); fv.Kind() {
-		case reflect.Int64:
-			got = float64(fv.Int())
-		case reflect.Uint64:
-			got = float64(fv.Uint())
-		case reflect.Float64:
-			got = fv.Float()
-		case reflect.Slice:
-			continue // PerCell, checked below
-		}
-		if got != 2 {
-			t.Errorf("total %s = %v after merging two replications of 1, want 2 — not summed in Merge", f.Name, got)
+	for name, fv := range resultTotals(t, reflect.ValueOf(&merged).Elem()) {
+		if got := leafValue(fv); got != 2 {
+			t.Errorf("total %s = %v after merging two replications of 1, want 2 — not summed in Merge", name, got)
 		}
 	}
 	if len(merged.PerCell) != 1 {
 		t.Fatalf("merged PerCell has %d entries, want 1", len(merged.PerCell))
 	}
-	if pc := merged.PerCell[0]; pc.CarriedVoiceTraffic != 1 || pc.PacketsOffered != 2 {
-		t.Errorf("merged PerCell = %+v: point estimates should average (1) and counters sum (2)", pc)
+	pc := merged.PerCell[0]
+	if pc.CarriedVoiceTraffic != 1 {
+		t.Errorf("merged PerCell CVT = %v: point estimates should average (1)", pc.CarriedVoiceTraffic)
 	}
+	for name, fv := range resultTotals(t, reflect.ValueOf(&pc.CellCounters).Elem()) {
+		if got := leafValue(fv); got != 2 {
+			t.Errorf("per-cell counter %s = %v after merging two replications of 1, want 2", name, got)
+		}
+	}
+}
+
+// resultTotals returns the numeric leaves of a struct value by field name,
+// walking into embedded structs; interval fields and the per-cell slices are
+// skipped, and a field of any other kind is reported as having no merge rule.
+func resultTotals(t *testing.T, v reflect.Value) map[string]reflect.Value {
+	t.Helper()
+	out := make(map[string]reflect.Value)
+	var walk func(v reflect.Value)
+	walk = func(v reflect.Value) {
+		for i := 0; i < v.NumField(); i++ {
+			f, fv := v.Type().Field(i), v.Field(i)
+			switch {
+			case f.Type == reflect.TypeOf(stats.Interval{}):
+			case f.Anonymous && fv.Kind() == reflect.Struct:
+				walk(fv)
+			case fv.Kind() == reflect.Int64 || fv.Kind() == reflect.Uint64 || fv.Kind() == reflect.Float64:
+				out[f.Name] = fv
+			case fv.Kind() == reflect.Slice && (f.Name == "PerCell" || f.Name == "PerCellCI"):
+				// PerCell counters are checked by the caller and by
+				// TestMergePerCell; PerCellCI by TestPerCellIntervals.
+			default:
+				t.Errorf("field %s has no merge rule (kind %v) — extend Merge and this test", f.Name, fv.Kind())
+			}
+		}
+	}
+	walk(v)
+	return out
+}
+
+// counterNames returns the field names of probe.CellCounters.
+func counterNames() map[string]bool {
+	names := make(map[string]bool)
+	ct := reflect.TypeOf(probe.CellCounters{})
+	for i := 0; i < ct.NumField(); i++ {
+		names[ct.Field(i).Name] = true
+	}
+	return names
+}
+
+func setOne(fv reflect.Value) {
+	switch fv.Kind() {
+	case reflect.Int64:
+		fv.SetInt(1)
+	case reflect.Uint64:
+		fv.SetUint(1)
+	case reflect.Float64:
+		fv.SetFloat(1)
+	}
+}
+
+func leafValue(fv reflect.Value) float64 {
+	switch fv.Kind() {
+	case reflect.Int64:
+		return float64(fv.Int())
+	case reflect.Uint64:
+		return float64(fv.Uint())
+	}
+	return fv.Float()
 }
 
 // TestMergePerCell checks the per-cell merge rules across replications:
@@ -358,17 +415,17 @@ func TestMergeCoversEveryResultsField(t *testing.T) {
 // drop the merged per-cell report instead of fabricating one.
 func TestMergePerCell(t *testing.T) {
 	a := sim.Results{PerCell: []sim.CellMeasures{
-		{Cell: 0, CarriedDataTraffic: 1, GSMBlocking: 0.2, PacketsDelivered: 10, HandoversIn: 3},
-		{Cell: 1, CarriedDataTraffic: 3, GSMBlocking: 0.4, PacketsDelivered: 30, HandoversIn: 5},
+		{Cell: 0, CarriedDataTraffic: 1, GSMBlocking: 0.2, CellCounters: probe.CellCounters{PacketsDelivered: 10, HandoversIn: 3}},
+		{Cell: 1, CarriedDataTraffic: 3, GSMBlocking: 0.4, CellCounters: probe.CellCounters{PacketsDelivered: 30, HandoversIn: 5}},
 	}}
 	b := sim.Results{PerCell: []sim.CellMeasures{
-		{Cell: 0, CarriedDataTraffic: 2, GSMBlocking: 0.4, PacketsDelivered: 20, HandoversIn: 5},
-		{Cell: 1, CarriedDataTraffic: 5, GSMBlocking: 0.2, PacketsDelivered: 50, HandoversIn: 7},
+		{Cell: 0, CarriedDataTraffic: 2, GSMBlocking: 0.4, CellCounters: probe.CellCounters{PacketsDelivered: 20, HandoversIn: 5}},
+		{Cell: 1, CarriedDataTraffic: 5, GSMBlocking: 0.2, CellCounters: probe.CellCounters{PacketsDelivered: 50, HandoversIn: 7}},
 	}}
 	merged := Merge([]sim.Results{a, b}, 0.95).Merged
 	want := []sim.CellMeasures{
-		{Cell: 0, CarriedDataTraffic: 1.5, GSMBlocking: 0.3, PacketsDelivered: 30, HandoversIn: 8},
-		{Cell: 1, CarriedDataTraffic: 4, GSMBlocking: 0.3, PacketsDelivered: 80, HandoversIn: 12},
+		{Cell: 0, CarriedDataTraffic: 1.5, GSMBlocking: 0.3, CellCounters: probe.CellCounters{PacketsDelivered: 30, HandoversIn: 8}},
+		{Cell: 1, CarriedDataTraffic: 4, GSMBlocking: 0.3, CellCounters: probe.CellCounters{PacketsDelivered: 80, HandoversIn: 12}},
 	}
 	for i, w := range want {
 		got := merged.PerCell[i]

@@ -200,9 +200,9 @@ func TestQueuedHandoverSteadyStateAllocs(t *testing.T) {
 		}
 		var queued, served, expired int64
 		for _, c := range s.cells {
-			queued += c.counts.Queued
-			served += c.counts.QueueServed
-			expired += c.counts.QueueExpired
+			queued += c.counts.HandoversQueued
+			served += c.counts.HandoverQueueServed
+			expired += c.counts.HandoverQueueExpired
 		}
 		if queued == 0 || served == 0 || expired == 0 {
 			t.Errorf("%s: queue path idle during the pin (queued %d, served %d, expired %d); the pin would be vacuous",

@@ -481,7 +481,7 @@ func (c *cell) gsmArrival() {
 		if c.canAdmitVoice() {
 			// A channel was free but reserved for handovers: the block is
 			// attributable to the guard policy alone.
-			c.counts.GuardBlocked++
+			c.counts.GuardBlockedCalls++
 		}
 		return
 	}
@@ -527,7 +527,7 @@ func (c *cell) receive(m handoverMsg) {
 func (c *cell) receiveVoice(m handoverMsg) {
 	st := m.voice
 	if st.departAt <= c.now() {
-		c.counts.TransitEnds++
+		c.counts.HandoverTransitEnds++
 		return // the call ended during the handover interruption
 	}
 	if !c.canAdmitVoice() {
@@ -573,7 +573,7 @@ func (c *cell) refuseVoiceHandover(m handoverMsg) bool {
 		}
 		q.expireEv = c.schedule(wait, q.expireFn)
 		c.hoQueue = append(c.hoQueue, q)
-		c.counts.Queued++
+		c.counts.HandoversQueued++
 		return true
 	case policy.DirectedRetry:
 		if m.retried {
@@ -596,7 +596,7 @@ func (c *cell) expireQueued(q *queuedHO) {
 			break
 		}
 	}
-	c.counts.QueueExpired++
+	c.counts.HandoverQueueExpired++
 	c.counts.HandoverFailures++
 	c.putQHO(q)
 }
@@ -617,11 +617,11 @@ func (c *cell) serveQueuedHandover() {
 	departAt := q.departAt
 	c.putQHO(q)
 	if departAt <= c.now() {
-		c.counts.QueueExpired++
+		c.counts.HandoverQueueExpired++
 		c.counts.HandoverFailures++
 		return
 	}
-	c.counts.QueueServed++
+	c.counts.HandoverQueueServed++
 	c.addVoice()
 	c.counts.HandoversIn++
 	call := c.getVoice()
@@ -649,7 +649,7 @@ func (c *cell) forwardRetry(m handoverMsg) {
 		}
 	}
 	target := topo.NeighborAt(m.src, (idx+1)%deg)
-	c.counts.Retries++
+	c.counts.HandoverRetries++
 	c.counts.HandoversOut++
 	if m.kind == hoVoice {
 		c.counts.VoiceHandoversOut++

@@ -106,8 +106,8 @@ type Config struct {
 	// Batches is the number of batch-means batches the measurement period is
 	// divided into (default 10).
 	Batches int
-	// ConfidenceLevel is the confidence level of the reported intervals
-	// (default 0.95).
+	// ConfidenceLevel is the confidence level of the reported intervals, in
+	// (0, 1); the zero value means 0.95.
 	ConfidenceLevel float64
 	// Seed makes the run reproducible.
 	Seed int64
@@ -248,6 +248,9 @@ func (c Config) Validate() error {
 	}
 	if c.Batches < 0 {
 		return fmt.Errorf("%w: batches = %d", ErrInvalidConfig, c.Batches)
+	}
+	if c.ConfidenceLevel < 0 || c.ConfidenceLevel >= 1 || math.IsNaN(c.ConfidenceLevel) {
+		return fmt.Errorf("%w: confidence level %v", ErrInvalidConfig, c.ConfidenceLevel)
 	}
 	if c.Streams < des.StreamDefault || c.Streams > des.StreamAntithetic {
 		return fmt.Errorf("%w: stream kind %d", ErrInvalidConfig, c.Streams)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"repro/internal/probe"
 	"repro/internal/stats"
 )
 
@@ -40,13 +41,12 @@ type Results struct {
 	// MeanQueueLength is the time-average BSC buffer occupancy in packets.
 	MeanQueueLength stats.Interval
 
-	// Totals over the whole measurement period (mid cell), read off
-	// PerCell[cluster.MidCell].
-	PacketsOffered   int64
-	PacketsLost      int64
-	PacketsDelivered int64
-	HandoversIn      int64
-	HandoversOut     int64
+	// CellCounters holds the mid cell's counter totals over the measurement
+	// period, a copy of PerCell[cluster.MidCell].CellCounters. After the
+	// runner's merge they are summed over the replications, so the promoted
+	// ratio methods (LossProbability and the others) give a ratio of summed
+	// counters, not the averaged interval of the same name.
+	probe.CellCounters
 	// TCP retransmission-timeout and fast-recovery totals of the whole run,
 	// warm-up included, summed over every cell of the cluster.
 	TCPTimeouts     int64
@@ -102,43 +102,12 @@ type CellMeasures struct {
 	GSMBlocking  float64
 	GPRSBlocking float64
 
-	// Counter totals over the measurement period.
-	PacketsOffered   int64
-	PacketsLost      int64
-	PacketsDelivered int64
-	HandoversIn      int64
-	HandoversOut     int64
-
-	// Handover-flow detail, the signature measures of mobility scenarios
-	// (skewed dwell times skew these even when the load is uniform).
-	// HandoversOut splits by service into VoiceHandoversOut and
-	// SessionHandoversOut. HandoverArrivals counts every handover message
-	// reaching this cell — admitted (HandoversIn), dropped for lack of
-	// capacity (HandoverFailures), or carrying a voice call that completed
-	// in transit — so summed over all cells, arrivals balance departures
-	// exactly (wrap-around flow conservation) up to messages in flight
-	// across the measurement boundaries.
-	VoiceHandoversOut   int64
-	SessionHandoversOut int64
-	HandoverArrivals    int64
-	HandoverFailures    int64
-
-	// Admission-policy detail (see internal/policy and Config.Policy).
-	// GuardBlockedCalls counts fresh calls blocked by the guard reservation
-	// alone (a channel was free but reserved for handovers).
-	// HandoversQueued, HandoverQueueServed, and HandoverQueueExpired are the
-	// queued-handovers ledger: on a drained run, queued = served + expired
-	// exactly, and expired failures are included in HandoverFailures.
-	// HandoverRetries counts directed-retry forwards issued by this cell
-	// (also included in HandoversOut). HandoverTransitEnds counts voice
-	// handovers whose call completed during the handover interruption — this
-	// happens under a nil policy too; it simply was not reported before.
-	GuardBlockedCalls    int64
-	HandoversQueued      int64
-	HandoverQueueServed  int64
-	HandoverQueueExpired int64
-	HandoverRetries      int64
-	HandoverTransitEnds  int64
+	// CellCounters holds the cell's counter totals over the measurement
+	// period. After the runner's merge they are summed over the
+	// replications, so the promoted ratio methods (LossProbability and the
+	// others) give a ratio of summed counters, while the point-estimate
+	// fields above hold the average of the per-replication values.
+	probe.CellCounters
 }
 
 // CellIntervals carries cross-replication confidence intervals for the
@@ -221,7 +190,7 @@ type batchAccumulator struct {
 }
 
 func newBatchAccumulator(level float64) *batchAccumulator {
-	mk := func() *stats.BatchMeans { return stats.NewBatchMeans(1) }
+	mk := stats.NewBatchMeans
 	return &batchAccumulator{
 		level:      level,
 		cdt:        mk(),

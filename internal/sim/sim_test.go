@@ -58,6 +58,10 @@ func TestConfigValidation(t *testing.T) {
 		{"warmup Inf", func(c *Config) { c.WarmupSec = math.Inf(1) }},
 		{"measure negative", func(c *Config) { c.MeasurementSec = -5 }},
 		{"batches negative", func(c *Config) { c.Batches = -3 }},
+		{"level NaN", func(c *Config) { c.ConfidenceLevel = math.NaN() }},
+		{"level Inf", func(c *Config) { c.ConfidenceLevel = math.Inf(1) }},
+		{"level ≥1", func(c *Config) { c.ConfidenceLevel = 1 }},
+		{"level negative", func(c *Config) { c.ConfidenceLevel = -2 }},
 	}
 	for _, m := range mutations {
 		cfg := quickConfig(true)

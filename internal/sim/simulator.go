@@ -63,9 +63,7 @@ func collectRun(e *Sharded) (Results, error) {
 
 	res := acc.results()
 	res.PerCell = perCellMeasures(cells, start, end, cfg.MeasurementSec)
-	m := res.PerCell[cluster.MidCell]
-	res.PacketsOffered, res.PacketsLost, res.PacketsDelivered = m.PacketsOffered, m.PacketsLost, m.PacketsDelivered
-	res.HandoversIn, res.HandoversOut = m.HandoversIn, m.HandoversOut
+	res.CellCounters = res.PerCell[cluster.MidCell].CellCounters
 	for _, c := range cells {
 		res.TCPTimeouts += c.tcpTimeouts
 		res.TCPFastRecovers += c.tcpFastRecovers
@@ -103,24 +101,7 @@ func perCellMeasures(cells []*cell, start []probe.CellCounters, end, measurement
 			ThroughputBits:        d.Throughput(measurementSec),
 			GSMBlocking:           d.GSMBlocking(),
 			GPRSBlocking:          d.GPRSBlocking(),
-
-			PacketsOffered:   d.PacketsOffered,
-			PacketsLost:      d.PacketsLost,
-			PacketsDelivered: d.PacketsDelivered,
-			HandoversIn:      d.HandoversIn,
-			HandoversOut:     d.HandoversOut,
-
-			VoiceHandoversOut:   d.VoiceHandoversOut,
-			SessionHandoversOut: d.SessionHandoversOut,
-			HandoverArrivals:    d.HandoverArrivals,
-			HandoverFailures:    d.HandoverFailures,
-
-			GuardBlockedCalls:    d.GuardBlocked,
-			HandoversQueued:      d.Queued,
-			HandoverQueueServed:  d.QueueServed,
-			HandoverQueueExpired: d.QueueExpired,
-			HandoverRetries:      d.Retries,
-			HandoverTransitEnds:  d.TransitEnds,
+			CellCounters:          d,
 		}
 	}
 	return out

@@ -1,43 +1,21 @@
 package stats
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // BatchMeans implements the batch-means method for steady-state simulation
-// output analysis with a fixed batch size: consecutive observations are
-// grouped into batches, the batch averages are treated as (approximately)
-// independent samples, and a Student-t confidence interval is computed over
-// them. The paper's simulator reports 95% confidence intervals computed this
-// way.
+// output analysis: the run is partitioned into batches, the batch averages
+// are treated as (approximately) independent samples, and a Student-t
+// confidence interval is computed over them. The paper's simulator reports
+// 95% confidence intervals computed this way.
 type BatchMeans struct {
-	batchSize int
-	current   Welford
-	batches   []float64
+	batches []float64
 }
 
-// NewBatchMeans returns an estimator that groups observations into batches of
-// the given size. A batch size below 1 is treated as 1.
-func NewBatchMeans(batchSize int) *BatchMeans {
-	if batchSize < 1 {
-		batchSize = 1
-	}
-	return &BatchMeans{batchSize: batchSize}
-}
+// NewBatchMeans returns an estimator with no batches.
+func NewBatchMeans() *BatchMeans { return &BatchMeans{} }
 
-// Add records one observation.
-func (b *BatchMeans) Add(x float64) {
-	b.current.Add(x)
-	if b.current.Count() >= int64(b.batchSize) {
-		b.batches = append(b.batches, b.current.Mean())
-		b.current.Reset()
-	}
-}
-
-// AddBatchMean records an externally computed batch mean directly. This is
-// used when the simulator partitions its run into fixed-length time batches
-// and computes time-weighted averages per batch.
+// AddBatchMean records one batch mean. The simulator partitions its run into
+// fixed-length time batches and computes time-weighted averages per batch.
 func (b *BatchMeans) AddBatchMean(mean float64) {
 	b.batches = append(b.batches, mean)
 }
@@ -85,17 +63,7 @@ func (iv Interval) String() string {
 // means at the given confidence level (e.g. 0.95). With fewer than two
 // batches the half-width is reported as +Inf.
 func (b *BatchMeans) ConfidenceInterval(level float64) Interval {
-	n := len(b.batches)
-	iv := Interval{Mean: b.Mean(), Level: level, Batches: n}
-	if n < 2 {
-		iv.HalfWidth = math.Inf(1)
-		return iv
-	}
-	var w Welford
-	for _, v := range b.batches {
-		w.Add(v)
-	}
-	t := TQuantile(n-1, 1-level)
-	iv.HalfWidth = t * w.StdDev() / math.Sqrt(float64(n))
+	iv := MeanInterval(b.batches, level)
+	iv.Mean = b.Mean()
 	return iv
 }

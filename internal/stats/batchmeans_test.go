@@ -62,9 +62,9 @@ func TestTCDFSymmetry(t *testing.T) {
 }
 
 func TestBatchMeansMean(t *testing.T) {
-	bm := NewBatchMeans(10)
-	for i := 0; i < 100; i++ {
-		bm.Add(float64(i % 10))
+	bm := NewBatchMeans()
+	for i := 0; i < 10; i++ {
+		bm.AddBatchMean(float64(i))
 	}
 	if bm.NumBatches() != 10 {
 		t.Fatalf("batches = %d, want 10", bm.NumBatches())
@@ -75,7 +75,7 @@ func TestBatchMeansMean(t *testing.T) {
 }
 
 func TestBatchMeansConfidenceIntervalCoversTrueMean(t *testing.T) {
-	// For i.i.d. observations the 95% CI should contain the true mean in
+	// For i.i.d. batch means the 95% CI should contain the true mean in
 	// roughly 95% of replications; check a comfortable majority to keep the
 	// test deterministic and fast.
 	rng := rand.New(rand.NewSource(42))
@@ -85,9 +85,13 @@ func TestBatchMeansConfidenceIntervalCoversTrueMean(t *testing.T) {
 	)
 	covered := 0
 	for r := 0; r < replications; r++ {
-		bm := NewBatchMeans(50)
-		for i := 0; i < 2000; i++ {
-			bm.Add(rng.ExpFloat64() * trueMean)
+		bm := NewBatchMeans()
+		for i := 0; i < 40; i++ {
+			var sum float64
+			for j := 0; j < 50; j++ {
+				sum += rng.ExpFloat64() * trueMean
+			}
+			bm.AddBatchMean(sum / 50)
 		}
 		iv := bm.ConfidenceInterval(0.95)
 		if iv.Contains(trueMean) {
@@ -100,10 +104,8 @@ func TestBatchMeansConfidenceIntervalCoversTrueMean(t *testing.T) {
 }
 
 func TestBatchMeansFewBatches(t *testing.T) {
-	bm := NewBatchMeans(5)
-	for i := 0; i < 4; i++ {
-		bm.Add(1)
-	}
+	bm := NewBatchMeans()
+	bm.AddBatchMean(1)
 	iv := bm.ConfidenceInterval(0.95)
 	if !math.IsInf(iv.HalfWidth, 1) {
 		t.Errorf("expected infinite half-width with < 2 batches, got %v", iv.HalfWidth)
@@ -111,7 +113,7 @@ func TestBatchMeansFewBatches(t *testing.T) {
 }
 
 func TestBatchMeansAddBatchMean(t *testing.T) {
-	bm := NewBatchMeans(1)
+	bm := NewBatchMeans()
 	bm.AddBatchMean(1)
 	bm.AddBatchMean(3)
 	bm.AddBatchMean(5)
@@ -137,13 +139,5 @@ func TestIntervalBoundsAndString(t *testing.T) {
 	}
 	if iv.String() == "" {
 		t.Error("String should not be empty")
-	}
-}
-
-func TestBatchMeansInvalidBatchSize(t *testing.T) {
-	bm := NewBatchMeans(0)
-	bm.Add(2)
-	if bm.NumBatches() != 1 {
-		t.Errorf("batch size clamped to 1: batches = %d, want 1", bm.NumBatches())
 	}
 }

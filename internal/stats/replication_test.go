@@ -22,9 +22,9 @@ func TestMeanInterval(t *testing.T) {
 
 	// MeanInterval over the same samples must agree with BatchMeans fed the
 	// same values as batch means — both are t intervals over the sample mean.
-	bm := NewBatchMeans(1)
+	bm := NewBatchMeans()
 	for _, x := range xs {
-		bm.Add(x)
+		bm.AddBatchMean(x)
 	}
 	ref := bm.ConfidenceInterval(0.95)
 	if math.Abs(iv.Mean-ref.Mean) > 1e-12 || math.Abs(iv.HalfWidth-ref.HalfWidth) > 1e-12 {
