@@ -192,7 +192,7 @@ func BenchmarkFig15GPRSPopulation(b *testing.B) {
 }
 
 // BenchmarkSolverAblation compares Gauss-Seidel, Jacobi, and power iteration
-// on the same model (the solver design choice called out in DESIGN.md).
+// on the same model (why Gauss-Seidel is the default solver).
 func BenchmarkSolverAblation(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		got, err := experiments.SolverAblation(experiments.Options{Tolerance: 1e-6})

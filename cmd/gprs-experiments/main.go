@@ -65,7 +65,7 @@ func run(args []string, stdout io.Writer) error {
 		figure = fs.String("figure", "all", "figure to regenerate: all, tables, fig5 ... fig15, hotspot")
 		outDir = fs.String("out", "results", "directory for CSV output")
 		noSim  = fs.Bool("no-sim", false, "skip the detailed-simulator series of figs 5 and 6")
-		tol    = fs.Float64("tol", 0, "steady-state solver tolerance (0 = default)")
+		tol    = fs.Float64("tol", 0, "steady-state solver tolerance (0 = 1e-6)")
 		quiet  = fs.Bool("quiet", false, "suppress progress output on stderr")
 		pjson  = fs.Bool("progress-json", false, "emit structured JSON-lines progress events on stderr instead of human-readable lines")
 	)
@@ -102,8 +102,8 @@ func run(args []string, stdout io.Writer) error {
 	case *pjson:
 		opts.ProgressRecord = jsonProgress(os.Stderr, start)
 	default:
-		opts.Progress = func(msg string) {
-			fmt.Fprintf(os.Stderr, "[%7.1fs] %s\n", time.Since(start).Seconds(), msg)
+		opts.ProgressRecord = func(ev experiments.ProgressEvent) {
+			fmt.Fprintf(os.Stderr, "[%7.1fs] %s\n", time.Since(start).Seconds(), progressText(ev))
 		}
 	}
 
@@ -121,7 +121,7 @@ func run(args []string, stdout io.Writer) error {
 	if err := shared.StartTelemetry(); err != nil {
 		return err
 	}
-	figs, err := selectFigures(name, opts)
+	figs, err := experiments.Figures(name, opts)
 	if err != nil {
 		return err
 	}
@@ -165,42 +165,17 @@ func jsonProgress(w *os.File, start time.Time) func(experiments.ProgressEvent) {
 	}
 }
 
-// selectFigures runs the generator of one lower-case figure name.
-func selectFigures(name string, opts experiments.Options) ([]experiments.Figure, error) {
-	single := func(fig experiments.Figure, err error) ([]experiments.Figure, error) {
-		if err != nil {
-			return nil, err
+// progressText renders one progress event as a human-readable line.
+func progressText(ev experiments.ProgressEvent) string {
+	if ev.Kind == "group" {
+		return fmt.Sprintf("%s done (%d/%d figure groups)", ev.Figure, ev.Done, ev.Total)
+	}
+	note := ""
+	if ev.Adaptive {
+		note = ", hit replication cap"
+		if ev.Converged {
+			note = fmt.Sprintf(", converged at %.2g relative half-width", ev.RelativeHalfWidth)
 		}
-		return []experiments.Figure{fig}, nil
 	}
-	switch name {
-	case "all":
-		return experiments.AllFigures(opts)
-	case "fig5":
-		return single(experiments.Fig5ThresholdCalibration(opts))
-	case "fig6":
-		return experiments.Fig6Validation(opts)
-	case "fig7":
-		return experiments.Fig7CDT(opts)
-	case "fig8":
-		return experiments.Fig8PLP(opts)
-	case "fig9":
-		return experiments.Fig9QD(opts)
-	case "fig10":
-		return experiments.Fig10SessionLimit(opts)
-	case "fig11":
-		return experiments.Fig11TwoPercent(opts)
-	case "fig12":
-		return experiments.Fig12FivePercent(opts)
-	case "fig13":
-		return experiments.Fig13TenPercent(opts)
-	case "fig14":
-		return experiments.Fig14VoiceImpact(opts)
-	case "fig15":
-		return experiments.Fig15GPRSPopulation(opts)
-	case "hotspot":
-		return experiments.HotspotFigures(opts)
-	default:
-		return nil, fmt.Errorf("unknown figure %q (use all, tables, fig5 ... fig15, hotspot)", name)
-	}
+	return fmt.Sprintf("%s: simulated point %d/%d (%d replications%s)", ev.Figure, ev.Done, ev.Total, ev.Replications, note)
 }

@@ -207,6 +207,37 @@ func TestInitialVectorAndValidation(t *testing.T) {
 	}
 }
 
+// TestSteadyStateRejectsBadOptions checks that a tolerance or relaxation
+// factor no iteration could honour fails at once: an infinite tolerance used
+// to stop after the first check, a NaN one to run every sweep, and a
+// negative one to fall back to the default silently.
+func TestSteadyStateRejectsBadOptions(t *testing.T) {
+	g := twoStateChain(t, 1, 1)
+	tests := []struct {
+		name string
+		opts SolveOptions
+	}{
+		{"tolerance NaN", SolveOptions{Tolerance: math.NaN()}},
+		{"tolerance +Inf", SolveOptions{Tolerance: math.Inf(1)}},
+		{"tolerance -Inf", SolveOptions{Tolerance: math.Inf(-1)}},
+		{"tolerance negative", SolveOptions{Tolerance: -1}},
+		{"relaxation NaN", SolveOptions{Relaxation: math.NaN()}},
+		{"relaxation negative", SolveOptions{Relaxation: -0.5}},
+		{"relaxation 2", SolveOptions{Relaxation: 2}},
+		{"relaxation +Inf", SolveOptions{Relaxation: math.Inf(1)}},
+	}
+	for _, tc := range tests {
+		t.Run(tc.name, func(t *testing.T) {
+			for _, m := range []Method{GaussSeidel, Jacobi, Power} {
+				tc.opts.Method = m
+				if _, err := g.SteadyState(tc.opts); !errors.Is(err, ErrInvalidArgument) {
+					t.Errorf("%v: error %v, want ErrInvalidArgument", m, err)
+				}
+			}
+		})
+	}
+}
+
 func TestParallelPowerMatchesSequential(t *testing.T) {
 	const n = 500
 	// Random-ish birth-death chain with position-dependent rates.

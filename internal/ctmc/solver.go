@@ -45,7 +45,8 @@ type SolveOptions struct {
 	// Method selects the iteration scheme; the zero value means GaussSeidel.
 	Method Method
 	// Tolerance is the convergence threshold on the relative L1 change of the
-	// iterate between convergence checks; the zero value means 1e-10.
+	// iterate between convergence checks; the zero value means 1e-10, and a
+	// negative, NaN or infinite value is rejected.
 	Tolerance float64
 	// MaxIterations bounds the number of sweeps; the zero value means 20000.
 	MaxIterations int
@@ -55,7 +56,8 @@ type SolveOptions struct {
 	// Relaxation is the successive over-relaxation factor applied to the
 	// Gauss–Seidel update (pi_j <- (1-w) pi_j + w inflow_j/d_j). The zero
 	// value means 1 (plain Gauss–Seidel); values in (1, 2) accelerate
-	// convergence on the stiff GPRS chain, values above 2 are rejected.
+	// convergence on the stiff GPRS chain; negative, NaN and values of 2 or
+	// more are rejected.
 	Relaxation float64
 	// Parallel enables multi-goroutine sweeps for the Jacobi and Power
 	// methods (Gauss–Seidel is inherently sequential). The zero value uses a
@@ -74,7 +76,7 @@ func (o SolveOptions) withDefaults() SolveOptions {
 	if o.Method == 0 {
 		o.Method = GaussSeidel
 	}
-	if o.Tolerance <= 0 {
+	if o.Tolerance == 0 {
 		o.Tolerance = 1e-10
 	}
 	if o.MaxIterations <= 0 {
@@ -114,6 +116,12 @@ type Solution struct {
 // solution of pi*Q = 0 with sum(pi) = 1.
 func (g *Generator) SteadyState(opts SolveOptions) (*Solution, error) {
 	o := opts.withDefaults()
+	if !(o.Tolerance > 0) || math.IsInf(o.Tolerance, 1) {
+		return nil, fmt.Errorf("%w: tolerance %v not a positive finite number", ErrInvalidArgument, o.Tolerance)
+	}
+	if !(o.Relaxation > 0 && o.Relaxation < 2) {
+		return nil, fmt.Errorf("%w: relaxation factor %v outside (0, 2)", ErrInvalidArgument, o.Relaxation)
+	}
 	if g.n == 1 {
 		return &Solution{Pi: []float64{1}, Converged: true, Method: o.Method}, nil
 	}
@@ -131,10 +139,6 @@ func (g *Generator) SteadyState(opts SolveOptions) (*Solution, error) {
 		for i := range pi {
 			pi[i] = 1 / float64(g.n)
 		}
-	}
-
-	if o.Relaxation < 0 || o.Relaxation >= 2 {
-		return nil, fmt.Errorf("%w: relaxation factor %v outside (0, 2)", ErrInvalidArgument, o.Relaxation)
 	}
 
 	var (

@@ -9,7 +9,7 @@ import (
 )
 
 // SolverComparison is the result of solving the same model with one iteration
-// scheme (the solver ablation of DESIGN.md).
+// scheme (the solver ablation of SolverAblation).
 type SolverComparison struct {
 	Method     ctmc.Method
 	Iterations int

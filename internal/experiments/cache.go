@@ -25,11 +25,10 @@ type solveEntry struct {
 }
 
 // solveCache memoizes solved (configuration, tolerance) pairs across the
-// figures of one experiment run. The figures sweep heavily overlapping
-// parameter grids — figure 6 shares its (fraction, rate) grid with figures
-// 11-13 and 15, and every two-panel figure used to solve its grid once per
-// panel — so the cache removes roughly half of all model solutions in a full
-// regeneration. Entries are never evicted: a full paper-resolution run is a
+// figures of one experiment run, which sweep overlapping parameter grids:
+// figures 7-9 plot three measures of one grid, figure 15 repeats figure 6's
+// grid and figure 14 figure 12's, and figures 11-13 meet figure 6 at one
+// reserved PDCH. Entries are never evicted: a full paper-resolution run is a
 // few thousand solutions, each a few KB of measures.
 type solveCache struct {
 	mu      sync.Mutex

@@ -19,7 +19,7 @@
 // session limit, fewer sweep points, shorter simulation runs) so that the
 // complete set of figures regenerates in a few minutes inside `go test
 // -bench`; the qualitative shape of every curve (orderings, crossovers,
-// saturation behaviour) is preserved. EXPERIMENTS.md records both.
+// saturation behaviour) is preserved.
 //
 // # Determinism contract
 //
@@ -100,13 +100,14 @@ type Options struct {
 	// the zero value means runtime.NumCPU().
 	Workers int
 	// Tolerance is the steady-state solver tolerance; the zero value means
-	// 1e-7 for Quick and 1e-8 for Full.
+	// 1e-6 at either fidelity. A negative, NaN or infinite tolerance fails
+	// every model solve with ctmc.ErrInvalidArgument.
 	Tolerance float64
 	// MaxIterations bounds the solver sweeps; the zero value means 20000.
 	MaxIterations int
 	// WithSimulation adds detailed-simulator series to the validation figures
-	// (Fig. 5 and Fig. 6). It is implied for those figures; setting it false
-	// skips the simulator to keep benchmark runs fast.
+	// (Fig. 5 and Fig. 6); false draws only their model series, which keeps
+	// benchmark runs fast.
 	WithSimulation bool
 	// SimSeed is the base seed of the simulator replications; replication i
 	// of every point runs with runner.SeedFor(SimSeed, i).
@@ -151,14 +152,10 @@ type Options struct {
 	// symmetric load, so under a non-uniform scenario the simulator series
 	// are the reference and the model series keep their symmetric meaning.
 	Workload scenario.Workload
-	// Progress, when non-nil, receives one human-readable line per completed
-	// unit of work (a finished figure, a simulated point). Calls are
+	// ProgressRecord, when non-nil, receives one event per completed unit of
+	// work (a simulated point, a finished figure group) with its figure id,
+	// point counts, replication count and convergence state. Calls are
 	// serialized but may arrive in any order.
-	Progress func(msg string)
-	// ProgressRecord, when non-nil, receives the same completion events as
-	// Progress in structured form (figure id, point counts, replication
-	// counts, convergence state), for machine-readable progress streams.
-	// Calls are serialized with Progress calls but may arrive in any order.
 	ProgressRecord func(ev ProgressEvent)
 
 	// limiter is the shared semaphore bounding the number of concurrently
@@ -174,8 +171,8 @@ type Options struct {
 	// cache memoizes steady-state solutions across all figures sharing this
 	// Options value; installed by withDefaults, shared by AllFigures.
 	cache *solveCache
-	// progressMu serializes Progress calls across all levels of parallelism
-	// that share this Options value; installed by withDefaults.
+	// progressMu serializes ProgressRecord calls across all levels of
+	// parallelism that share this Options value; installed by withDefaults.
 	progressMu *sync.Mutex
 }
 
@@ -186,7 +183,7 @@ func (o Options) withDefaults() Options {
 	if o.Workers <= 0 {
 		o.Workers = runtime.NumCPU()
 	}
-	if o.Tolerance <= 0 {
+	if o.Tolerance == 0 {
 		// A calibration run against a 1e-9 reference solution showed that
 		// 1e-6 already reproduces CDT, PLP, QD and ATU to 4-5 significant
 		// digits on the full Table 2 state space at roughly half the sweeps.
@@ -227,18 +224,6 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// progress emits one progress line if a callback is installed. Calls are
-// serialized across every fan-out sharing this Options value.
-func (o Options) progress(format string, args ...any) {
-	if o.Progress == nil {
-		return
-	}
-	msg := fmt.Sprintf(format, args...)
-	o.progressMu.Lock()
-	defer o.progressMu.Unlock()
-	o.Progress(msg)
-}
-
 // ProgressEvent is one structured completion event of an experiment run,
 // delivered through Options.ProgressRecord.
 type ProgressEvent struct {
@@ -267,8 +252,8 @@ type ProgressEvent struct {
 	RelativeHalfWidth float64 `json:"relative_half_width,omitempty"`
 }
 
-// record emits one structured progress event if a recorder is installed,
-// serialized with the human-readable progress stream.
+// record emits one progress event if a recorder is installed. Calls are
+// serialized across every fan-out sharing this Options value.
 func (o Options) record(ev ProgressEvent) {
 	if o.ProgressRecord == nil {
 		return
@@ -350,8 +335,8 @@ func simConfig(o Options, model traffic.Model, rate float64) sim.Config {
 
 // solvePoint builds and solves the analytical model for one configuration,
 // memoizing (configuration, tolerance) pairs in the run's shared cache so
-// figures sweeping overlapping parameter grids — and the second panel of
-// every two-panel figure — reuse solutions instead of re-solving.
+// figures sweeping overlapping parameter grids reuse solutions instead of
+// re-solving.
 func solvePoint(cfg core.Config, o Options) (core.Measures, error) {
 	key := solveKey{cfg: cfg, tolerance: o.Tolerance, maxIterations: o.MaxIterations}
 	return o.cache.solve(key, func() (core.Measures, error) {
@@ -367,31 +352,6 @@ func solvePoint(cfg core.Config, o Options) (core.Measures, error) {
 			return core.Measures{}, err
 		}
 		return res.Measures, nil
-	})
-}
-
-// sweepJob is one model solution in a sweep: a configuration plus the slot
-// its result lands in.
-type sweepJob struct {
-	cfg    core.Config
-	series int
-	point  int
-}
-
-// sweep solves a grid of configurations concurrently — bounded by the shared
-// limiter so nested figure-level parallelism cannot oversubscribe the CPU —
-// and fills the target figure series through the extract callback. Each job
-// writes to its own (series, point) slot, so the filled series do not depend
-// on the schedule.
-func sweep(jobs []sweepJob, o Options, extract func(core.Measures) float64, series []Series) error {
-	return runner.ForEach(o.limiter, len(jobs), func(k int) error {
-		job := jobs[k]
-		meas, err := solvePoint(job.cfg, o)
-		if err != nil {
-			return err
-		}
-		series[job.series].Y[job.point] = extract(meas)
-		return nil
 	})
 }
 
@@ -433,16 +393,8 @@ func simulateSweep(o Options, figID string, model traffic.Model, rates []float64
 			return fmt.Errorf("simulation at rate %g: %w", rates[i], err)
 		}
 		sums[i] = sum
-		note := ""
-		if sum.Adaptive {
-			note = ", hit replication cap"
-			if sum.Converged {
-				note = fmt.Sprintf(", converged at %.2g relative half-width", sum.RelativeHalfWidth)
-			}
-		}
 		mu.Lock()
 		done++
-		o.progress("%s: simulated point %d/%d (%d replications%s)", figID, done, len(rates), sum.Replications, note)
 		o.record(ProgressEvent{
 			Kind:              "point",
 			Figure:            figID,

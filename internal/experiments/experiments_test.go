@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
@@ -50,8 +51,11 @@ func checkFigure(t *testing.T, fig Figure, wantSeries int) {
 
 func TestFidelityAndOptionDefaults(t *testing.T) {
 	o := Options{}.withDefaults()
-	if o.Fidelity != Quick || o.Workers <= 0 || o.Tolerance <= 0 {
+	if o.Fidelity != Quick || o.Workers <= 0 || o.Tolerance != 1e-6 {
 		t.Errorf("defaults not applied: %+v", o)
+	}
+	if full := (Options{Fidelity: Full}).withDefaults(); full.Tolerance != 1e-6 {
+		t.Errorf("full fidelity tolerance = %v, want 1e-6", full.Tolerance)
 	}
 	if o.Replications != 3 || o.limiter == nil {
 		t.Errorf("replication defaults not applied: %+v", o)
@@ -67,6 +71,24 @@ func TestFidelityAndOptionDefaults(t *testing.T) {
 	}
 	if len(callRates(Full)) <= len(callRates(Quick)) {
 		t.Error("full fidelity should sweep more rate points")
+	}
+}
+
+// TestFigureGroupNames checks that the group table lists the -figure names
+// of Figs. 5-15 in the paper's order and that Figures rejects other names.
+func TestFigureGroupNames(t *testing.T) {
+	if len(groups) != 11 {
+		t.Fatalf("%d figure groups, want 11", len(groups))
+	}
+	for i, g := range groups {
+		if want := fmt.Sprintf("fig%d", i+5); g.name != want {
+			t.Errorf("group %d is %q, want %q", i, g.name, want)
+		}
+	}
+	for _, name := range []string{"fig4", "fig16", "Fig5", "tables"} {
+		if _, err := Figures(name, testOptions()); err == nil || !strings.Contains(err.Error(), "unknown figure") {
+			t.Errorf("Figures(%q): error %v, want an unknown-figure error", name, err)
+		}
 	}
 }
 
@@ -324,16 +346,15 @@ func TestSimulateSweepReplicatedAndDeterministic(t *testing.T) {
 	o.SimMeasurementSec = 300
 	rates := []float64{0.3, 0.6}
 
-	var mu sync.Mutex
-	var progress []string
+	var points int
 	run := func(workers int, record bool) []Series {
 		opts := o
 		opts.Workers = workers
 		if record {
-			opts.Progress = func(msg string) {
-				mu.Lock()
-				defer mu.Unlock()
-				progress = append(progress, msg)
+			opts.ProgressRecord = func(ev ProgressEvent) {
+				if ev.Kind == "point" {
+					points++
+				}
 			}
 		}
 		opts = opts.withDefaults()
@@ -360,8 +381,8 @@ func TestSimulateSweepReplicatedAndDeterministic(t *testing.T) {
 				workers, got, one)
 		}
 	}
-	if len(progress) != len(rates) {
-		t.Errorf("expected one progress line per point, got %v", progress)
+	if points != len(rates) {
+		t.Errorf("got %d point progress events, want one per point (%d)", points, len(rates))
 	}
 }
 
@@ -447,8 +468,8 @@ func TestSimulateSweepAdaptivePrecision(t *testing.T) {
 
 func TestSolveCacheDeduplicatesOverlappingSweeps(t *testing.T) {
 	o := testOptions().withDefaults()
-	// Fig. 15 sweeps one (fraction, rate) grid for two panels: the second
-	// panel must be served entirely from the cache.
+	// Fig. 15 plots two panels of one (fraction, rate) grid: each point is
+	// solved once and fills both panels, without a second cache lookup.
 	figs, err := Fig15GPRSPopulation(o)
 	if err != nil {
 		t.Fatal(err)
@@ -459,8 +480,8 @@ func TestSolveCacheDeduplicatesOverlappingSweeps(t *testing.T) {
 	if misses != grid {
 		t.Errorf("unique solutions = %d, want %d", misses, grid)
 	}
-	if hits != grid {
-		t.Errorf("cache hits = %d, want %d (one full panel)", hits, grid)
+	if hits != 0 {
+		t.Errorf("cache hits = %d, want 0 (one lookup per point)", hits)
 	}
 	// Fig. 6 sweeps the same fractions over the same rates at the same
 	// reserved-PDCH setting, so a shared Options value re-solves nothing.
